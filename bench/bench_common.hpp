@@ -1,4 +1,4 @@
-// Shared helpers for the experiment harnesses (E1..E11).
+// Shared helpers for the experiment harnesses (E1..E16).
 //
 // Each bench binary reproduces one experiment from EXPERIMENTS.md: it runs
 // without arguments, prints its seed, the table of results, and a PASS /
@@ -18,13 +18,26 @@
 // measured identically, so the recorded ratio is unaffected; the repeat
 // counts land in the JSON (compiled_repeats / reference_repeats) for
 // trajectory comparability.
+//
+// Fleet benches (E13-E16) launch the real `rvt_cli` next to the bench
+// binary with spawn() and reap it with wait_exit(), and print their
+// sub-assertions with check().
 #pragma once
+
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bench_report.hpp"
 #include "util/rng.hpp"
@@ -41,6 +54,78 @@ inline void header(const std::string& id, const std::string& claim) {
 
 inline void verdict(bool ok, const std::string& what) {
   std::cout << "\n[" << (ok ? "PASS" : "FAIL") << "] " << what << "\n\n";
+}
+
+/// One sub-assertion line; returns `ok` so callers can fold it into
+/// their verdict (`all_ok &= check(...)`).
+inline bool check(bool ok, const std::string& what) {
+  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
+  return ok;
+}
+
+/// The rvt_cli binary built next to this bench binary.
+inline std::string cli_path(const char* argv0) {
+  return (std::filesystem::path(argv0).parent_path() / "rvt_cli").string();
+}
+
+/// Extracts the integer value of `"key": N` from a metrics snapshot;
+/// returns false when the key is absent.
+inline bool metrics_u64(const std::string& body, const std::string& key,
+                        std::uint64_t* out) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = body.find(needle);
+  if (at == std::string::npos) return false;
+  *out = std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
+  return true;
+}
+
+using EnvVars = std::vector<std::pair<std::string, std::string>>;
+
+/// fork+execve of `args` (args[0] is the program path) with stdout and
+/// stderr redirected into `log` and `env` set in the child only, on top
+/// of this process's environment. Returns the child pid; the child
+/// _exits 127 if exec fails. argv and envp are built before the fork, so
+/// the child only makes async-signal-safe calls — safe from a bench that
+/// runs an in-process coordinator's threads.
+inline pid_t spawn(const std::vector<std::string>& args,
+                   const std::string& log, const EnvVars& env = {}) {
+  std::vector<std::string> env_strings;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const char* eq = std::strchr(*e, '=');
+    const std::string key(*e, eq == nullptr ? std::strlen(*e) : eq - *e);
+    bool overridden = false;
+    for (const auto& [k, v] : env) overridden |= k == key;
+    if (!overridden) env_strings.emplace_back(*e);
+  }
+  for (const auto& [k, v] : env) env_strings.push_back(k + "=" + v);
+  std::vector<char*> argv, envp;
+  for (const std::string& a : args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  for (std::string& e : env_strings) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  std::cout.flush();  // the child must not inherit unflushed output
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd >= 0) {
+    ::dup2(fd, 1);
+    ::dup2(fd, 2);
+    ::close(fd);
+  }
+  ::execve(argv[0], argv.data(), envp.data());
+  ::_exit(127);
+}
+
+/// Blocks until `pid` exits; returns its exit code, or -(signal) when
+/// it died to a signal (SIGKILL -> -9).
+inline int wait_exit(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  if (WIFEXITED(status)) return WEXITSTATUS(status);
+  if (WIFSIGNALED(status)) return -WTERMSIG(status);
+  return -1;
 }
 
 /// Monotonic wall-clock stopwatch.

@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,11 +54,6 @@ using namespace rvt;
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 4;
 constexpr unsigned kProcesses = 2;
-
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
 
 }  // namespace
 
@@ -118,21 +114,28 @@ int main(int argc, char** argv) {
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
   dist::write_plan(plan_path, plan);
 
-  // Two child processes, each running half the shards sequentially,
-  // sharing the cache dir. `wait` on the explicit pids propagates the
-  // children's exit codes.
-  const std::string cli = cli_path(argv[0]);
-  auto run_cmd = [&](unsigned shard) {
-    return cli + " shard run " + plan_path + " " + std::to_string(shard) +
-           " --journal-dir " + journal_dir + " --cache-dir " + cache_dir;
-  };
-  const std::string spawn = "(" + run_cmd(0) + " && " + run_cmd(1) +
-                            ") & p0=$!; (" + run_cmd(2) + " && " +
-                            run_cmd(3) +
-                            ") & p1=$!; wait $p0 || exit 1; wait $p1";
+  // Two concurrent lanes of child processes, each running half the
+  // shards back to back, sharing the cache dir. A lane stops at its
+  // first failing child and reports that exit code.
+  const std::string cli = bench::cli_path(argv[0]);
+  const unsigned per_lane = kShards / kProcesses;
+  std::vector<int> lane_rc(kProcesses, 0);
+  std::vector<std::thread> lanes;
   bench::WallTimer dist_timer;
-  std::cout.flush();  // children share the fd: keep the log ordered
-  const int spawn_rc = std::system(spawn.c_str());
+  for (unsigned p = 0; p < kProcesses; ++p) {
+    lanes.emplace_back([&, p] {
+      for (unsigned shard = p * per_lane;
+           shard < (p + 1) * per_lane && lane_rc[p] == 0; ++shard) {
+        lane_rc[p] = bench::wait_exit(bench::spawn(
+            {cli, "shard", "run", plan_path, std::to_string(shard),
+             "--journal-dir", journal_dir, "--cache-dir", cache_dir},
+            scratch + "/shard-" + std::to_string(shard) + ".log"));
+      }
+    });
+  }
+  for (std::thread& t : lanes) t.join();
+  int spawn_rc = 0;
+  for (const int rc : lane_rc) spawn_rc = spawn_rc != 0 ? spawn_rc : rc;
   const double dist_seconds = dist_timer.seconds();
   std::cout << "distributed run: " << kShards << " shards / "
             << kProcesses << " processes, exit " << spawn_rc << " ("

@@ -13,59 +13,143 @@
 //    as SerializeError and the next run resumes exactly past the valid
 //    prefix. Every drill's defeat sum must equal the fault-free sum.
 //
-//  * ORCHESTRATED chaos scenarios run the full battery 4-shard under
-//    the supervision loop (dist/orchestrator.hpp) with the scenario's
-//    RVT_FAILPOINTS injected into first-attempt children: mid-shard
-//    child kills, torn journal tails, corrupted cache-tier decodes,
-//    publish errors. Crash scenarios must show requeues (the fault
-//    actually fired) and EVERY scenario must merge bit-identical to the
-//    single-process total — 5426593 on the default battery. A forced
-//    quarantine run (fault env on every attempt, attempts exhausted)
-//    must produce a manifest whose merge reports the missing ranges
-//    explicitly while the plain merge refuses.
+//  * FLEET chaos scenarios run the full battery 4-shard on an
+//    in-process svc::Coordinator drained by real `rvt_cli worker
+//    --cache-dir` children, with the scenario's RVT_FAILPOINTS armed in
+//    the FIRST worker only: a worker killed mid-lease (worker.index
+//    crash), corrupted cache-tier decodes and failing tier publishes
+//    (the worker runs its FsOrbitStore, so that is where tier faults
+//    live). The kill must show requeues (the fault actually fired), the
+//    tier faults none, and EVERY scenario must merge bit-identical to
+//    the single-process total — 5426593 on the default battery — with
+//    every worker that was not doomed exiting 0. A forced quarantine
+//    run (max_attempts=1, one crashing worker per shard) must produce a
+//    manifest whose merge reports the missing ranges explicitly while
+//    the plain merge refuses.
 //
-// An optional argv[1] (max_n, default 14) shrinks the orchestrated
-// battery for quick/CI-reduced runs; the 5426593 constant is only
-// asserted on the default. The in-process drills always run the small
-// e10:6 battery. A fault-free timing pair (registry disarmed vs armed
-// on a never-firing site) records the failpoint overhead ratio.
+// An optional argv[1] (max_n, default 14) shrinks the fleet battery for
+// quick/CI-reduced runs; the 5426593 constant is only asserted on the
+// default. The in-process drills always run the small e10:6 battery. A
+// fault-free timing pair (registry disarmed vs armed on a never-firing
+// site) records the failpoint overhead ratio.
+#include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "dist/merge.hpp"
-#include "dist/orchestrator.hpp"
 #include "dist/runner.hpp"
 #include "dist/serialize.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
 #include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
+#include "svc/coordinator.hpp"
 #include "util/failpoint.hpp"
 #include "util/retry.hpp"
 
 namespace {
 
 using namespace rvt;
+using bench::check;
 
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 4;
-constexpr unsigned kRunners = 2;
+constexpr unsigned kWorkers = 2;
 
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
+/// One seeded fault class of the fleet matrix. `doomed` scenarios kill
+/// the armed worker, so they must requeue and the armed worker must exit
+/// with the crash code; the others must run without a requeue.
+struct Scenario {
+  const char* name;
+  bool doomed;
+};
+constexpr Scenario kScenarios[] = {
+    {"none", false},
+    {"worker-kill", true},
+    {"corrupt-tier", false},
+    {"publish-error", false},
+};
+
+/// The RVT_FAILPOINTS value armed in the first worker. `seed` makes the
+/// probabilistic scenario deterministic and picks the kill depth (a
+/// 1-based hit in [1, shard_width], so the kill lands inside the
+/// worker's first lease).
+std::string failpoints(const std::string& scenario, std::uint64_t seed,
+                       std::uint64_t shard_width) {
+  if (scenario == "worker-kill") {
+    return "worker.index=crash@hit:" + std::to_string(1 + seed % shard_width);
+  }
+  if (scenario == "corrupt-tier") {
+    return "fs_store.load.decode=err@prob:0.5:" + std::to_string(seed);
+  }
+  if (scenario == "publish-error") return "fs_store.store=err@always";
+  return "";
 }
 
-bool check(bool ok, const std::string& what) {
-  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-  return ok;
+/// What one fleet run left behind.
+struct FleetRun {
+  bool complete = false;  ///< every shard sealed or quarantined in time
+  svc::ServiceReport report;
+  dist::QuarantineManifest manifest;
+  std::vector<int> exits;  ///< per worker, launch order
+};
+
+/// Runs `plan` on an in-process coordinator drained by one `rvt_cli
+/// worker` child per entry of `worker_env`. A worker with a non-empty
+/// env is started alone and the rest only once it holds a lease, so the
+/// armed worker deterministically works the first lease. Ends the way
+/// `serve` does — wait_complete() then stop() — and only then reaps the
+/// workers, so a worker that needs a live coordinator to exit cleanly
+/// shows as a non-zero exit.
+FleetRun run_fleet(const dist::ShardPlan& plan, const std::string& cli,
+                   const std::string& dir, const std::string& cache_dir,
+                   unsigned max_attempts,
+                   const std::vector<bench::EnvVars>& worker_env) {
+  FleetRun run;
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = dir + "/journals";
+  cfg.max_attempts = max_attempts;
+  svc::Coordinator coord(plan, cfg);
+  std::vector<pid_t> pids;
+  for (std::size_t k = 0; k < worker_env.size(); ++k) {
+    const std::string name = "w" + std::to_string(k);
+    std::vector<std::string> args{
+        cli,      "worker", "--connect",
+        "127.0.0.1:" + std::to_string(coord.port()),
+        "--name", name};
+    if (!cache_dir.empty()) {
+      args.push_back("--cache-dir");
+      args.push_back(cache_dir);
+    }
+    pids.push_back(bench::spawn(args, dir + "/" + name + ".log",
+                                worker_env[k]));
+    if (k == 0 && !worker_env[k].empty()) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (coord.report().leases_granted == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+  }
+  run.complete = coord.wait_complete(std::chrono::minutes(10));
+  run.report = coord.report();
+  run.manifest = coord.quarantine_manifest();
+  coord.stop();
+  for (const pid_t pid : pids) {
+    if (!run.complete) ::kill(pid, SIGKILL);
+    run.exits.push_back(bench::wait_exit(pid));
+  }
+  return run;
 }
 
 }  // namespace
@@ -73,8 +157,8 @@ bool check(bool ok, const std::string& what) {
 int main(int argc, char** argv) {
   const int max_n = argc > 1 ? std::atoi(argv[1]) : 14;
   bench::header(
-      "E14 chaos battery (fault injection + self-healing orchestration)",
-      "The E10 battery under seeded faults — child kills, torn journals, "
+      "E14 chaos battery (fault injection + self-healing fleet)",
+      "The E10 battery under seeded faults — worker kills, torn journals, "
       "corrupt tier files, publish errors —\nmust merge bit-identical to "
       "the fault-free count; exhausted shards must quarantine into "
       "explicit missing ranges.");
@@ -219,7 +303,7 @@ int main(int argc, char** argv) {
               << on << " s (ratio " << overhead_ratio << ")\n";
   }
 
-  // ---- orchestrated chaos scenarios ---------------------------------------
+  // ---- fleet chaos scenarios --------------------------------------------
   const auto workload =
       dist::EnumWorkload::parse("e10:" + std::to_string(max_n));
   bench::WallTimer single_timer;
@@ -239,81 +323,77 @@ int main(int argc, char** argv) {
                     "single-process total equals the committed 5426593");
   }
 
-  const std::string plan_path = scratch + "/plan.bin";
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
-  dist::write_plan(plan_path, plan);
   const std::uint64_t shard_width =
       plan.shards[0].end - plan.shards[0].begin;
-  const std::string cli = cli_path(argv[0]);
+  const std::string cli = bench::cli_path(argv[0]);
 
   std::uint64_t total_requeues = 0;
   util::Table table(
-      {"scenario", "launches", "requeues", "quarantined", "defeats", "ok"});
+      {"scenario", "workers", "requeues", "quarantined", "defeats", "ok"});
   bench::WallTimer chaos_timer;
-  for (const std::string& scenario : dist::chaos_scenarios()) {
-    const std::uint64_t seed = bench::kDefaultSeed;
-    const std::string jd = scratch + "/" + scenario + "-journals";
-    const std::string cd = scratch + "/" + scenario + "-cache";
-    dist::OrchestratorConfig cfg;
-    cfg.journal_dir = jd;
-    cfg.max_concurrent = kRunners;
-    cfg.max_attempts = 3;
-    const std::string fp =
-        dist::chaos_failpoint_config(scenario, seed, shard_width);
-    if (!fp.empty()) cfg.first_attempt_env.emplace_back("RVT_FAILPOINTS", fp);
-    std::cout.flush();  // children share the fd: keep the log ordered
-    const dist::OrchestratorReport report = dist::orchestrate(
-        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd, cd));
+  for (const Scenario& sc : kScenarios) {
+    const std::string dir = scratch + "/" + sc.name;
+    const std::string fp = failpoints(sc.name, bench::kDefaultSeed,
+                                      shard_width);
+    std::vector<bench::EnvVars> env(kWorkers);
+    if (!fp.empty()) env[0] = {{"RVT_FAILPOINTS", fp}};
+    const FleetRun run =
+        run_fleet(plan, cli, dir, dir + "-cache", 3, env);
     std::uint64_t merged_total = 0;
     bool merged_ok = false;
-    if (report.all_complete()) {
+    if (run.complete && run.report.all_complete()) {
       try {
-        merged_total = dist::merge_journals(plan, jd).total;
+        merged_total = dist::merge_journals(plan, dir + "/journals").total;
         merged_ok = merged_total == single_total;
       } catch (const std::exception& e) {
-        std::cerr << scenario << ": merge failed: " << e.what() << "\n";
+        std::cerr << sc.name << ": merge failed: " << e.what() << "\n";
       }
     }
-    const bool crash_class =
-        scenario == "child-kill" || scenario == "torn-journal";
-    // A crash scenario with zero requeues means the fault never fired —
-    // the drill would be vacuous, so that is a FAILURE too.
-    const bool ok = merged_ok && report.quarantined == 0 &&
-                    (!crash_class || report.requeues >= 1) &&
-                    (crash_class || report.requeues == 0);
-    total_requeues += report.requeues;
-    table.row(scenario, report.launches, report.requeues, report.quarantined,
+    bool exits_ok = true;
+    for (std::size_t k = 0; k < run.exits.size(); ++k) {
+      const bool armed_to_die = sc.doomed && k == 0;
+      exits_ok &= run.exits[k] ==
+                  (armed_to_die ? util::kFailpointCrashExitCode : 0);
+    }
+    // A kill with zero requeues means the fault never fired — the drill
+    // would be vacuous, so that is a FAILURE too.
+    const std::uint64_t requeues = run.report.shards_requeued;
+    const bool ok = merged_ok && exits_ok &&
+                    run.report.shards_quarantined == 0 &&
+                    (sc.doomed ? requeues >= 1 : requeues == 0);
+    total_requeues += requeues;
+    std::string exit_list;
+    for (const int e : run.exits) {
+      exit_list += (exit_list.empty() ? "" : ",") + std::to_string(e);
+    }
+    table.row(sc.name, kWorkers, requeues, run.report.shards_quarantined,
               merged_total, ok ? "yes" : "NO");
-    all_ok &= check(ok, "scenario " + scenario + ": merged " +
+    all_ok &= check(ok, std::string("scenario ") + sc.name + ": merged " +
                             std::to_string(merged_total) + " after " +
-                            std::to_string(report.requeues) + " requeues");
+                            std::to_string(requeues) +
+                            " requeues, worker exits " + exit_list);
   }
   const double chaos_seconds = chaos_timer.seconds();
 
   // ---- forced quarantine: exhausted attempts become explicit gaps ---------
   std::uint64_t quarantined_shards = 0;
   {
-    const std::string jd = scratch + "/quarantine-journals";
-    dist::OrchestratorConfig cfg;
-    cfg.journal_dir = jd;
-    cfg.max_concurrent = kRunners;
-    cfg.max_attempts = 2;
-    cfg.env_every_attempt = true;  // the fault re-fires on every attempt
-    cfg.first_attempt_env.emplace_back(
-        "RVT_FAILPOINTS", dist::chaos_failpoint_config("child-kill", 4,
-                                                       shard_width));
-    const dist::OrchestratorReport report = dist::orchestrate(
-        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd, ""));
-    quarantined_shards = report.quarantined;
-    const dist::QuarantineManifest manifest =
-        dist::quarantine_manifest(plan, report);
-    const std::string mpath = scratch + "/quarantine.bin";
-    dist::write_quarantine_manifest(mpath, manifest);
+    const std::string dir = scratch + "/quarantine";
+    // One attempt per shard and one crashing worker per shard: every
+    // worker dies inside its only lease, so every shard quarantines.
+    const bench::EnvVars crash = {
+        {"RVT_FAILPOINTS", failpoints("worker-kill", 4, shard_width)}};
+    const FleetRun run = run_fleet(plan, cli, dir, "", 1,
+                                   std::vector<bench::EnvVars>(kShards, crash));
+    quarantined_shards = run.report.shards_quarantined;
+    const std::string mpath = dir + "/quarantine.bin";
+    dist::write_quarantine_manifest(mpath, run.manifest);
     const dist::QuarantineManifest loaded =
         dist::load_quarantine_manifest(mpath);
     bool plain_refuses = false;
     try {
-      dist::merge_journals(plan, jd);
+      dist::merge_journals(plan, dir + "/journals");
     } catch (const dist::SerializeError&) {
       plain_refuses = true;
     }
@@ -321,7 +401,7 @@ int main(int argc, char** argv) {
     bool partial_ok = false;
     try {
       const dist::MergeResult partial =
-          dist::merge_journals(plan, jd, &loaded);
+          dist::merge_journals(plan, dir + "/journals", &loaded);
       for (const auto& [b, e] : partial.missing) missing += e - b;
       partial_ok = !partial.complete() &&
                    partial.covered + missing == partial.indices &&
@@ -329,11 +409,16 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "quarantine merge failed: " << e.what() << "\n";
     }
-    all_ok &= check(report.quarantined == kShards && plain_refuses &&
-                        partial_ok &&
+    bool all_died = true;
+    for (const int e : run.exits) {
+      all_died &= e == util::kFailpointCrashExitCode;
+    }
+    all_ok &= check(run.complete && quarantined_shards == kShards &&
+                        all_died && plain_refuses && partial_ok &&
+                        loaded.entries.size() == kShards &&
                         !loaded.entries[0].diagnostics.empty(),
                     "forced quarantine: " +
-                        std::to_string(report.quarantined) +
+                        std::to_string(quarantined_shards) +
                         " shards quarantined, plain merge refuses, "
                         "manifest merge reports " +
                         std::to_string(missing) + " missing indices");
@@ -354,7 +439,7 @@ int main(int argc, char** argv) {
   faults.quarantined = quarantined_shards;
   report.faults(faults);
   report.metric("max_n", max_n);
-  report.metric("runners", kRunners);
+  report.metric("workers", kWorkers);
   report.metric("single_defeats", static_cast<double>(single_total));
   report.metric("chaos_seconds", chaos_seconds);
   report.metric("failpoint_overhead_ratio", overhead_ratio);

@@ -29,16 +29,13 @@
 // default. The BENCH_E15.json report carries the schema's "service"
 // block (runner count, lease churn, journal bytes streamed,
 // time-to-first-sealed-shard) summed over both phases.
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,62 +51,29 @@
 #include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 #include "svc/coordinator.hpp"
+#include "util/failpoint.hpp"
 
 namespace {
 
 using namespace rvt;
+using bench::check;
+using bench::metrics_u64;
 
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 6;
 
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
-
-bool check(bool ok, const std::string& what) {
-  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-  return ok;
-}
-
-/// Extracts the integer value of `"key": N` from a metrics snapshot;
-/// returns false when the key is absent.
-bool metrics_u64(const std::string& body, const std::string& key,
-                 std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
-  return true;
-}
-
-struct WorkerProc {
-  std::thread thread;
-  // Heap slot so the launcher thread's pointer survives the struct
-  // being moved into the fleet vector.
-  std::unique_ptr<int> status = std::make_unique<int>(-1);
-  int exit_code() const {
-    return WIFEXITED(*status) ? WEXITSTATUS(*status) : -1;
-  }
-};
-
 /// Launches `rvt_cli worker` as a subprocess (optionally with a
-/// RVT_FAILPOINTS value injected) and captures its exit status. A real
-/// child process, not an in-process thread: the chaos drill _exits the
-/// whole worker, and the bench must measure the daemon a remote host
-/// would actually run.
-WorkerProc launch_worker(const std::string& cli, std::uint16_t port,
-                         const std::string& name, const std::string& log,
-                         const std::string& failpoints = "") {
-  std::string cmd;
-  if (!failpoints.empty()) cmd += "RVT_FAILPOINTS='" + failpoints + "' ";
-  cmd += cli + " worker --connect 127.0.0.1:" + std::to_string(port) +
-         " --name " + name + " > " + log + " 2>&1";
-  WorkerProc p;
-  int* status = p.status.get();
-  p.thread = std::thread(
-      [cmd, status]() { *status = std::system(cmd.c_str()); });
-  return p;
+/// RVT_FAILPOINTS value injected). A real child process, not an
+/// in-process thread: the chaos drill _exits the whole worker, and the
+/// bench must measure the daemon a remote host would actually run.
+pid_t launch_worker(const std::string& cli, std::uint16_t port,
+                    const std::string& name, const std::string& log,
+                    const std::string& failpoints = "") {
+  bench::EnvVars env;
+  if (!failpoints.empty()) env.emplace_back("RVT_FAILPOINTS", failpoints);
+  return bench::spawn({cli, "worker", "--connect",
+                       "127.0.0.1:" + std::to_string(port), "--name", name},
+                      log, env);
 }
 
 }  // namespace
@@ -129,7 +93,7 @@ int main(int argc, char** argv) {
       "e15-scratch-" + std::to_string(static_cast<int>(::getpid()));
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
-  const std::string cli = cli_path(argv[0]);
+  const std::string cli = bench::cli_path(argv[0]);
 
   // ---- single-process baseline -------------------------------------------
   const auto workload =
@@ -168,14 +132,15 @@ int main(int argc, char** argv) {
     cfg.cache_dir = cache_dir;
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
-    std::vector<WorkerProc> fleet;
+    std::vector<pid_t> fleet;
     fleet.push_back(
         launch_worker(cli, coord.port(), "w1", scratch + "/w1.log"));
     fleet.push_back(
         launch_worker(cli, coord.port(), "w2", scratch + "/w2.log"));
     const bool drained =
         coord.wait_complete(std::chrono::milliseconds(30 * 60 * 1000));
-    for (auto& w : fleet) w.thread.join();
+    std::vector<int> exits;
+    for (const pid_t pid : fleet) exits.push_back(bench::wait_exit(pid));
     clean_seconds = fleet_timer.seconds();
     clean_rep = coord.report();
     ttfs = clean_rep.time_to_first_sealed_shard_seconds;
@@ -186,8 +151,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "clean merge failed: " << e.what() << "\n";
     }
-    const bool workers_clean =
-        fleet[0].exit_code() == 0 && fleet[1].exit_code() == 0;
+    const bool workers_clean = exits[0] == 0 && exits[1] == 0;
     all_ok &= check(drained && clean_rep.all_complete() &&
                         clean_rep.shards_completed == kShards,
                     "all " + std::to_string(kShards) + " shards sealed");
@@ -250,7 +214,7 @@ int main(int argc, char** argv) {
     cfg.cache_dir = cache_dir;  // content-addressed: reuse the warm tier
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
-    std::vector<WorkerProc> fleet;
+    std::vector<pid_t> fleet;
     fleet.push_back(launch_worker(cli, coord.port(), "doomed",
                                   scratch + "/doomed.log",
                                   "worker.index=crash@hit:25"));
@@ -260,7 +224,8 @@ int main(int argc, char** argv) {
         launch_worker(cli, coord.port(), "w4", scratch + "/w4.log"));
     const bool drained =
         coord.wait_complete(std::chrono::milliseconds(30 * 60 * 1000));
-    for (auto& w : fleet) w.thread.join();
+    std::vector<int> exits;
+    for (const pid_t pid : fleet) exits.push_back(bench::wait_exit(pid));
     chaos_seconds = fleet_timer.seconds();
     chaos_rep = coord.report();
 
@@ -270,12 +235,11 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "chaos merge failed: " << e.what() << "\n";
     }
-    const bool doomed_died = fleet[0].exit_code() != 0;
-    const bool survivors_clean =
-        fleet[1].exit_code() == 0 && fleet[2].exit_code() == 0;
+    const bool doomed_died = exits[0] == util::kFailpointCrashExitCode;
+    const bool survivors_clean = exits[1] == 0 && exits[2] == 0;
     all_ok &= check(doomed_died,
                     "the doomed worker actually died (exit code " +
-                        std::to_string(fleet[0].exit_code()) + ")");
+                        std::to_string(exits[0]) + ")");
     // Zero requeues would mean the crash never cost a lease — vacuous.
     all_ok &= check(chaos_rep.shards_requeued >= 1,
                     "the dropped lease was requeued (" +

@@ -27,9 +27,7 @@
 // BENCH_E16.json report carries the schema's "recovery" block summed
 // over the scenarios, validated non-vacuous (resumes >= 1). An optional
 // argv[1] (max_n, default 14) shrinks the battery for CI-reduced runs.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -56,48 +54,13 @@
 namespace {
 
 using namespace rvt;
+using bench::check;
+using bench::metrics_u64;
+using bench::spawn;
+using bench::wait_exit;
 
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 6;
-
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
-
-bool check(bool ok, const std::string& what) {
-  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-  return ok;
-}
-
-/// fork+execv with stdout/stderr redirected into `log`. Returns the
-/// child pid; the child _exits 127 if exec fails.
-pid_t spawn(const std::vector<std::string>& args, const std::string& log) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    ::dup2(fd, 1);
-    ::dup2(fd, 2);
-    ::close(fd);
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  _exit(127);
-}
-
-/// Blocks until `pid` exits; returns its exit code, or -(signal) when
-/// it died to a signal (SIGKILL -> -9).
-int wait_exit(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream is(path);
@@ -117,15 +80,6 @@ bool u64_before(const std::string& text, const std::string& needle,
   while (b > 0 && std::isdigit(static_cast<unsigned char>(text[b - 1]))) --b;
   if (b == at) return false;
   *out = std::strtoull(text.c_str() + b, nullptr, 10);
-  return true;
-}
-
-bool metrics_u64(const std::string& body, const std::string& key,
-                 std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
   return true;
 }
 
@@ -276,7 +230,7 @@ int main(int argc, char** argv) {
       "e16-scratch-" + std::to_string(static_cast<int>(::getpid()));
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
-  const std::string cli = cli_path(argv[0]);
+  const std::string cli = bench::cli_path(argv[0]);
   const std::string spec = "e10:" + std::to_string(max_n);
 
   // ---- single-process baseline -------------------------------------------

@@ -12,7 +12,7 @@
 // that against the committed single-process E10 count.
 //
 // Partial coverage is an EXPLICIT state, never a silent one. When the
-// orchestrator (dist/orchestrator.hpp) gives up on a shard it writes the
+// coordinator (svc/coordinator.hpp) gives up on a shard it writes the
 // shard into a QUARANTINE MANIFEST — a framed artifact binding the
 // plan's fingerprint to the quarantined index ranges plus per-attempt
 // diagnostics. merge_journals() accepts the manifest and then tolerates
@@ -40,13 +40,13 @@ struct ShardSummary {
   std::string path;           ///< journal file merged from
 };
 
-/// One shard the orchestrator gave up on: its index range plus the
+/// One shard a campaign gave up on: its index range plus the
 /// human-readable diagnostics of every failed attempt.
 struct QuarantineEntry {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   ShardId shard_id;
-  std::string diagnostics;  ///< per-attempt exit/expiry summary
+  std::string diagnostics;  ///< per-attempt failure summary
 };
 
 /// The framed (WireKind::kQuarantine) record of every shard a run could

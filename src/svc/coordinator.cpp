@@ -402,6 +402,9 @@ void Coordinator::stop() {
   if (!was_stopped) {
     listener_->close();
     metrics_listener_->close();
+    // Taking mu_ orders the flag before any waiter's predicate check, so
+    // a held lease request or wait_complete() cannot miss the wake-up.
+    { std::lock_guard<std::mutex> lk(mu_); }
     cv_.notify_all();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -418,6 +421,10 @@ void Coordinator::stop() {
   }
   if (metrics_thread_.joinable()) metrics_thread_.join();
   if (reaper_thread_.joinable()) reaper_thread_.join();
+}
+
+std::chrono::milliseconds Coordinator::lease_hold() const {
+  return std::max(std::chrono::milliseconds(50), cfg_.poll_interval * 10);
 }
 
 bool Coordinator::done_locked() const {
@@ -454,13 +461,14 @@ void Coordinator::fail_attempt_locked(std::size_t shard,
     s.writer.reset();
     ledger_append_nothrow_locked(
         {dist::LedgerEvent::kQuarantine, shard, s.attempts});
-    cv_.notify_all();
   } else {
     s.phase = ShardPhase::kPending;
     pending_.push_back(shard);
     ++requeues_;
     ledger_append_nothrow_locked({dist::LedgerEvent::kFail, shard, s.attempts});
   }
+  // Wakes wait_complete() and any held lease request.
+  cv_.notify_all();
 }
 
 void Coordinator::release_if_held_locked(std::uint64_t session_id,
@@ -483,8 +491,7 @@ std::vector<std::uint8_t> Coordinator::grant_lease_locked(
   }
   if (pending_.empty()) {
     g.status = LeaseStatus::kWait;
-    g.retry_ms = std::max<std::uint64_t>(
-        50, static_cast<std::uint64_t>(cfg_.poll_interval.count()) * 10);
+    g.retry_ms = static_cast<std::uint64_t>(lease_hold().count());
     return encode(g);
   }
   const std::size_t i = pending_.front();
@@ -646,6 +653,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
     ack.index_count = plan_.count;
     ack.max_rounds = plan_.max_rounds;
     ack.shard_count = plan_.shards.size();
+    ack.orbit_store = fs_store_ != nullptr;
     send(dist::WireKind::kHello, encode(ack));
 
     // ---- message loop ----
@@ -659,14 +667,27 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
       // A stopping coordinator stops SERVING, not just accepting: the
       // frame goes unanswered, exactly as a crash would leave it — so
       // runners experience the restart instead of quietly draining the
-      // campaign through a dying process.
-      if (stop_.load()) break;
+      // campaign through a dying process. The one exception is a lease
+      // request to a DONE campaign, answered kDrained below: the end of
+      // a campaign is not a crash, and its workers exit 0.
+      if (stop_.load() && f.kind != dist::WireKind::kLeaseRequest) break;
       dist::WireKind reply_kind = f.kind;
       std::vector<std::uint8_t> reply;
+      bool unanswered = false;
       switch (f.kind) {
         case dist::WireKind::kLeaseRequest: {
-          std::lock_guard<std::mutex> lk(mu_);
+          std::unique_lock<std::mutex> lk(mu_);
           runners_[session_id].last_seen = std::chrono::steady_clock::now();
+          // An idle request is HELD until a shard is pending (a requeue),
+          // the campaign is done or the coordinator stops — so a worker
+          // idling when the last seal lands hears kDrained at once.
+          cv_.wait_for(lk, lease_hold(), [this] {
+            return !pending_.empty() || done_locked() || stop_.load();
+          });
+          if (stop_.load() && !done_locked()) {
+            unanswered = true;
+            break;
+          }
           std::size_t leased = kNoShard;
           try {
             reply = grant_lease_locked(session_id, name, &leased);
@@ -745,7 +766,6 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
               // bad; the committed prefix stays, the shard requeues.
               fail_attempt_locked(chunk.shard_index,
                                   std::string("bad chunk: ") + e.what());
-              cv_.notify_all();
               cr.accepted = false;
             }
           } else {
@@ -805,6 +825,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           } else if (seal.token != 0) {
             ++stale_tokens_fenced_;
           }
+          sr.campaign_done = done_locked();
           reply = encode(sr);
           break;
         }
@@ -815,8 +836,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           HeartbeatReply hr;
           // NOTE: a heartbeat proves the runner is alive, not that it is
           // making progress — it never renews the lease. Journal growth
-          // (chunks) is the only renewal, same as the fork/exec
-          // orchestrator's journal-size poll.
+          // (chunks) is the only renewal.
           hr.lease_valid =
               hb.token == 0 ||
               (hb.shard_index < shards_.size() &&
@@ -872,6 +892,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           reply = encode(
               ErrorReply{ErrorCode::kBadRequest, "unexpected message kind"});
       }
+      if (unanswered) break;
       send(reply_kind, reply);
     }
   } catch (const dist::WireVersionError& e) {

@@ -1,17 +1,19 @@
 // The shard-dispatch coordinator: leases a shard plan's index ranges to
 // remote runner daemons over TCP and owns every journal.
 //
-// Lease semantics are PR 6's fork/exec orchestrator carried onto the
-// network, with one inversion that makes incremental merge fall out for
-// free: runners STREAM their committed records back (kJournalChunk) and
-// the coordinator appends them to the shard's journal locally. Journal
-// growth is therefore still the one heartbeat that counts — a runner
-// that chats but commits nothing is indistinguishable from a dead one
-// and its lease expires — and the durable resume point always lives
-// with the coordinator: a requeued shard is re-granted from the
-// committed prefix (LeaseGrant::next_index), never from scratch.
+// Runners STREAM their committed records back (kJournalChunk) and the
+// coordinator appends them to the shard's journal locally, so
+// incremental merge falls out for free. Journal growth is the one
+// heartbeat that counts — a runner that chats but commits nothing is
+// indistinguishable from a dead one and its lease expires — and the
+// durable resume point always lives with the coordinator: a requeued
+// shard is re-granted from the committed prefix (LeaseGrant::next_index),
+// never from scratch. Requeue is safe because shard runs are
+// index-deterministic: a shard can lose any number of leases and the
+// sealed aggregate is still bit-identical (bench E14 asserts this under
+// seeded fault scenarios).
 //
-// Failure handling mirrors the orchestrator exactly:
+// Failure handling:
 //  * lease expiry (no journal growth for lease_timeout) or an unsealed
 //    disconnect requeues the range, attempts capped at max_attempts;
 //  * exhausted attempts quarantine the shard with per-attempt
@@ -22,11 +24,20 @@
 //    abandon the shard. Their records are NOT lost wholesale — the
 //    prefix the coordinator already journaled stays committed.
 //
+// The end of a campaign is a protocol fact, so a correct campaign ends
+// with every worker exiting 0: the seal reply that completes the
+// campaign says so (SealReply::campaign_done), an idle lease request is
+// held until a shard becomes pending or the campaign is done, and a
+// done campaign answers kDrained even while stop() is tearing the
+// sessions down.
+//
 // The coordinator also serves the remote orbit-store half (kOrbitGet /
 // kOrbitPut) against an optional local FsOrbitStore, so the cache
 // tier's retry/quarantine/degrade policy composes unchanged — a runner
 // publishing through NetOrbitStore lands in the same content-addressed
-// directory a shared-filesystem fleet would use.
+// directory a shared-filesystem fleet would use. Whether it has a store
+// is advertised in the hello reply; without one, workers skip the round
+// trips (gets still miss and puts are still dropped if anyone asks).
 //
 // A separate metrics listener answers plain HTTP/1.0 GETs with a
 // bench-report-style JSON document (service_json): live progress for a
@@ -71,7 +82,8 @@ struct CoordinatorConfig {
   unsigned max_attempts = 3;
   /// Lease expires after this long without journal growth.
   std::chrono::milliseconds lease_timeout{10000};
-  /// Reaper wake-up cadence (also the kWait retry hint's unit).
+  /// Reaper wake-up cadence; an idle lease request is held for
+  /// 10x this (at least 50 ms) before it is answered kWait.
   std::chrono::milliseconds poll_interval{20};
   /// Session read timeout: the granularity at which session threads
   /// notice stop() and stalled peers.
@@ -276,6 +288,8 @@ class Coordinator {
   void release_if_held_locked(std::uint64_t session_id, std::size_t shard,
                               const std::string& reason);
   bool done_locked() const;
+  /// How long an idle lease request is held before it answers kWait.
+  std::chrono::milliseconds lease_hold() const;
   ServiceReport report_locked() const;
   /// Replays the ledger into shards_/counters against the scanned
   /// journal states; throws SerializeError on any ledger/journal

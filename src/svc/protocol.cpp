@@ -57,6 +57,7 @@ std::vector<std::uint8_t> encode(const HelloReply& m) {
   w.u64(m.index_count);
   w.u64(m.max_rounds);
   w.u64(m.shard_count);
+  w.u8(m.orbit_store ? 1 : 0);
   return w.take();
 }
 
@@ -70,7 +71,11 @@ HelloReply decode_hello_reply(std::span<const std::uint8_t> p) {
   m.index_count = r.u64();
   m.max_rounds = r.u64();
   m.shard_count = r.u64();
-  r.expect_end();
+  // The v4 tail. A v3 reply ends here and keeps the default (true).
+  if (r.remaining() != 0) {
+    m.orbit_store = read_bool(r, "hello orbit_store") != 0;
+    r.expect_end();
+  }
   return m;
 }
 
@@ -224,6 +229,7 @@ Seal decode_seal(std::span<const std::uint8_t> p) {
 std::vector<std::uint8_t> encode(const SealReply& m) {
   WireWriter w;
   w.u8(m.accepted ? 1 : 0);
+  w.u8(m.campaign_done ? 1 : 0);
   return w.take();
 }
 
@@ -231,7 +237,11 @@ SealReply decode_seal_reply(std::span<const std::uint8_t> p) {
   WireReader r(p);
   SealReply m;
   m.accepted = read_bool(r, "seal accepted") != 0;
-  r.expect_end();
+  // The v4 tail. A v3 reply ends here (campaign_done stays false).
+  if (r.remaining() != 0) {
+    m.campaign_done = read_bool(r, "seal campaign_done") != 0;
+    r.expect_end();
+  }
   return m;
 }
 

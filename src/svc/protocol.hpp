@@ -39,8 +39,12 @@ namespace rvt::svc {
 /// reconnects; 3 = lease grants carry the coordinator-minted campaign/
 /// trace id as an OPTIONAL TAIL (decoders still accept the v2 payload
 /// — the id defaults to 0 — so a mixed-version rollout degrades to
-/// unstitched traces, never to a refused lease).
-inline constexpr std::uint32_t kServiceProtocolVersion = 3;
+/// unstitched traces, never to a refused lease); 4 = the end of a
+/// campaign and the coordinator's orbit store are protocol facts: the
+/// seal reply that completes the campaign says so, and the hello reply
+/// says whether the coordinator serves an orbit store (both optional
+/// tails — v3 payloads still decode).
+inline constexpr std::uint32_t kServiceProtocolVersion = 4;
 
 enum class ErrorCode : std::uint32_t {
   kVersion = 1,     ///< protocol version mismatch in the hello
@@ -66,7 +70,7 @@ struct HelloRequest {
 
 /// The coordinator's half of the handshake binds the session to ONE
 /// plan: the worker re-derives the workload from spec and refuses a
-/// fingerprint mismatch, exactly like the fork/exec runner refuses a
+/// fingerprint mismatch, exactly like the local shard runner refuses a
 /// foreign plan (dist/runner.cpp).
 struct HelloReply {
   std::uint32_t protocol = kServiceProtocolVersion;
@@ -75,13 +79,21 @@ struct HelloReply {
   std::uint64_t index_count = 0;
   std::uint64_t max_rounds = 0;
   std::uint64_t shard_count = 0;
+  /// The coordinator serves a persistent orbit store (it has a cache
+  /// directory), so kOrbitGet can hit and kOrbitPut is kept. Workers
+  /// without a local cache dir attach NetOrbitStore only when this is
+  /// set. Protocol v4 optional tail; a v3 reply decodes as true — the
+  /// v3 worker attached the remote store unconditionally.
+  bool orbit_store = true;
 };
 
 // ---- leases ---------------------------------------------------------------
 
 enum class LeaseStatus : std::uint8_t {
   kGranted = 0,
-  kWait = 1,     ///< nothing pending NOW; retry after retry_ms
+  /// Nothing became pending while the coordinator held the request for
+  /// retry_ms; ask again.
+  kWait = 1,
   kDrained = 2,  ///< every shard sealed or quarantined — disconnect
 };
 
@@ -96,7 +108,7 @@ struct LeaseGrant {
   std::uint64_t next_index = 0;
   std::uint64_t resume_sum = 0;
   std::uint64_t token = 0;     ///< must accompany every chunk/seal
-  std::uint64_t retry_ms = 0;  ///< kWait: backoff before re-requesting
+  std::uint64_t retry_ms = 0;  ///< kWait: how long the request was held
   /// Campaign/trace id the coordinator minted for this plan (protocol
   /// v3 optional tail; 0 from a v2 peer). Workers adopt it as their
   /// obs::trace campaign id so their spans stitch under the
@@ -121,8 +133,8 @@ struct JournalRecord {
 };
 
 /// A batch of contiguous committed records. Chunk arrival IS the lease
-/// heartbeat — journal growth, the same liveness signal the fork/exec
-/// orchestrator polls for, just pushed over the session.
+/// heartbeat: journal growth is the only liveness signal that renews a
+/// lease, because it is the only one that proves progress.
 struct JournalChunk {
   std::uint64_t shard_index = 0;
   std::uint64_t token = 0;
@@ -144,6 +156,10 @@ struct Seal {
 
 struct SealReply {
   bool accepted = false;
+  /// This seal completed the campaign: every shard is now sealed or
+  /// quarantined, so the worker exits instead of asking for more work
+  /// (protocol v4 optional tail; false from a v3 peer).
+  bool campaign_done = false;
 };
 
 // ---- errors ---------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "svc/worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -182,7 +181,7 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   if (!opt.cache_dir.empty()) {
     fs_tier = std::make_unique<dist::FsOrbitStore>(opt.cache_dir);
     cache.set_backing(fs_tier.get());
-  } else if (opt.remote_store) {
+  } else if (ack.orbit_store) {
     net_tier =
         std::make_unique<NetOrbitStore>(host, port, opt.name + "-store");
     cache.set_backing(net_tier.get());
@@ -260,38 +259,32 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
         const LeaseGrant g = decode_lease_grant(gf.payload);
         if (g.status == LeaseStatus::kDrained) {
           drained = true;
-        } else if (g.status == LeaseStatus::kWait) {
-          // Stay observable while idle: heartbeat (token 0 = pure
-          // liveness) through the backoff the coordinator asked for.
-          const auto until =
-              Clock::now() + std::chrono::milliseconds(g.retry_ms);
-          do {
-            round_trip(*stream, dist::WireKind::kHeartbeat,
-                       encode(Heartbeat{0, 0}));
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::min<std::uint64_t>(g.retry_ms, 50)));
-          } while (Clock::now() < until);
-        } else {
+        } else if (g.status == LeaseStatus::kGranted) {
           ++rep.leases;
           // Adopt the coordinator-minted campaign id so every span this
           // worker flushes stitches to the coordinator's trace. A v2
           // grant carries no id (0) — leave whatever was configured.
           if (g.campaign_id != 0) obs::set_campaign_id(g.campaign_id);
+          // Orbit sets live for one lease: a worker's memory stays one
+          // shard's working set however many shards it drains.
+          cache.advance_epoch();
           lease.emplace();
           lease->g = g;
           lease->next = g.next_index;
           lease->running = g.resume_sum;
           lease->last_flush = Clock::now();
         }
+        // kWait: the coordinator already held the request for retry_ms;
+        // ask again at once.
         continue;
       }
       bool lost = false;
       RVT_OBS_SPAN("svc.worker.compute", lease->g.shard_index,
                    lease->g.end - lease->next);
       while (lease->next < lease->g.end && !lost) {
-        // Chaos hook: the network-runner twin of run_shard.index — die
-        // (or error out of the session) at a chosen index with every
-        // flushed chunk durably committed coordinator-side.
+        // Chaos hook: die (or error out of the session) at a chosen
+        // index with every flushed chunk durably committed
+        // coordinator-side — the mid-shard crash a requeue recovers.
         switch (util::failpoint("worker.index")) {
           case util::FaultAction::kCrash:
             util::failpoint_crash("worker.index");
@@ -334,12 +327,14 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
       const net::Frame sf = round_trip(
           *stream, dist::WireKind::kSeal,
           encode(Seal{lease->g.shard_index, lease->g.token, lease->running}));
-      if (decode_seal_reply(sf.payload).accepted) {
+      const SealReply sr = decode_seal_reply(sf.payload);
+      if (sr.accepted) {
         ++rep.sealed;
       } else {
         ++rep.revoked;
       }
       lease.reset();
+      drained = sr.campaign_done;
     } catch (const FatalWorkerError&) {
       throw;
     } catch (const net::NetError&) {

@@ -11,6 +11,10 @@
 // re-granted); the worker abandons the shard and asks for a fresh
 // lease — the coordinator's committed prefix is not lost.
 //
+// Orbit sets are cached in memory for one lease at a time, so a
+// worker's footprint is one shard's working set however many shards it
+// drains; a local or remote orbit store carries sets across leases.
+//
 // The TRANSPORT is expendable: every connect — the first one included —
 // rides one bounded-exponential-backoff loop (util/retry), so a worker
 // started before its coordinator, or running through a coordinator
@@ -24,10 +28,11 @@
 // incarnation, the committed prefix survives, and the worker asks for
 // a fresh grant.
 //
-// run_worker drains the coordinator: it returns when a lease request
+// run_worker drains the coordinator: it returns when the seal it sends
+// completes the campaign (SealReply::campaign_done) or a lease request
 // answers kDrained (every shard sealed or quarantined). It is the one
 // entry point behind `rvt_cli worker`, the loopback tests and benches
-// E15/E16.
+// E14-E16.
 #pragma once
 
 #include <chrono>
@@ -42,11 +47,10 @@ namespace rvt::svc {
 
 struct WorkerOptions {
   std::string name = "worker";
-  /// Local filesystem orbit-cache tier; empty + remote_store=true uses
-  /// the coordinator's remote store (NetOrbitStore), empty + false runs
-  /// with the in-memory cache only.
+  /// Local filesystem orbit-cache tier. Empty: the coordinator's remote
+  /// store (NetOrbitStore) if its hello reply advertises one, else the
+  /// in-memory cache only.
   std::string cache_dir;
-  bool remote_store = true;
   /// Records per journal chunk; a flush also happens after
   /// flush_interval_ms regardless of fill, so slow indices still
   /// heartbeat.

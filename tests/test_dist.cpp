@@ -289,6 +289,20 @@ TEST_F(DistTest, MergeRefusesPartialForeignOrMissingJournals) {
                dist::SerializeError);
 }
 
+TEST_F(DistTest, ManifestValidationRejectsForeignEntries) {
+  const auto w = dist::EnumWorkload::parse("e10:4");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 4);
+  dist::QuarantineManifest m;
+  m.fingerprint = plan.fingerprint;
+  m.entries.push_back({1, 2, dist::ShardId{9, 9}, "bogus"});
+  EXPECT_THROW(dist::merge_journals(plan, path("journals"), &m),
+               dist::SerializeError);
+  dist::QuarantineManifest wrong_plan;
+  wrong_plan.fingerprint = dist::ShardId{1, 2};
+  EXPECT_THROW(dist::merge_journals(plan, path("journals"), &wrong_plan),
+               dist::SerializeError);
+}
+
 TEST_F(DistTest, RunShardRefusesForeignPlan) {
   const auto w = dist::EnumWorkload::parse("e10:4");
   const auto w2 = dist::EnumWorkload::parse("e10:5");

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "dist/merge.hpp"
+#include "dist/runner.hpp"
 #include "dist/serialize.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
@@ -157,7 +158,6 @@ TEST_F(ServiceTest, LoopbackFleetMatchesSingleProcessBitForBit) {
   // Drained coordinator tells a late worker there is nothing to do.
   svc::WorkerOptions late;
   late.name = "late";
-  late.remote_store = false;
   const svc::WorkerReport lr =
       svc::run_worker("127.0.0.1", again.port(), late);
   EXPECT_EQ(lr.leases, 0u);
@@ -181,13 +181,20 @@ TEST_F(ServiceTest, WorkerFaultRequeuesAndACleanWorkerFinishes) {
   util::FailPointRegistry::instance().configure("worker.index=err@hit:20");
   svc::WorkerOptions faulty;
   faulty.name = "faulty";
-  faulty.remote_store = false;
   faulty.chunk_records = 8;  // several committed chunks before the fault
   EXPECT_THROW(svc::run_worker("127.0.0.1", coord.port(), faulty),
                dist::SerializeError);
   util::FailPointRegistry::instance().reset();
 
   {
+    // run_worker returns as soon as its socket closes; the coordinator's
+    // session thread notices the disconnect and requeues a moment later.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (coord.report().shards_requeued == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     const svc::ServiceReport mid = coord.report();
     EXPECT_GE(mid.shards_requeued, 1u);
     EXPECT_GT(mid.committed_indices, 0u);  // the prefix survived
@@ -196,7 +203,6 @@ TEST_F(ServiceTest, WorkerFaultRequeuesAndACleanWorkerFinishes) {
 
   svc::WorkerOptions clean;
   clean.name = "clean";
-  clean.remote_store = false;
   const svc::WorkerReport rep =
       svc::run_worker("127.0.0.1", coord.port(), clean);
   ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
@@ -208,6 +214,127 @@ TEST_F(ServiceTest, WorkerFaultRequeuesAndACleanWorkerFinishes) {
       dist::merge_journals(plan, cfg.journal_dir);
   EXPECT_TRUE(merged.complete());
   EXPECT_EQ(merged.total, expected);
+}
+
+TEST_F(ServiceTest, PartialQuarantineMergesTheHealthyShards) {
+  const std::string spec = "e10:4";
+  const auto w = dist::EnumWorkload::parse(spec);
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 4);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.max_attempts = 1;
+  svc::Coordinator coord(plan, cfg);
+
+  // The only worker connected takes shard 0 (plan order) and errors out
+  // of it at its 3rd index: one attempt, so shard 0 quarantines.
+  util::FailPointRegistry::instance().configure("worker.index=err@hit:3");
+  svc::WorkerOptions faulty;
+  faulty.name = "faulty";
+  EXPECT_THROW(svc::run_worker("127.0.0.1", coord.port(), faulty),
+               dist::SerializeError);
+  util::FailPointRegistry::instance().reset();
+  svc::WorkerOptions clean;
+  clean.name = "clean";
+  const svc::WorkerReport rep =
+      svc::run_worker("127.0.0.1", coord.port(), clean);
+  ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
+  EXPECT_EQ(rep.sealed, 3u);
+  EXPECT_EQ(coord.report().shards_quarantined, 1u);
+  const dist::QuarantineManifest manifest = coord.quarantine_manifest();
+  coord.stop();
+
+  const dist::ShardSpec& lost = plan.shards[0];
+  ASSERT_EQ(manifest.entries.size(), 1u);
+  EXPECT_EQ(manifest.entries[0].begin, lost.begin);
+  EXPECT_FALSE(manifest.entries[0].diagnostics.empty());
+  const auto partial =
+      dist::merge_journals(plan, cfg.journal_dir, &manifest);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.covered, plan.count - (lost.end - lost.begin));
+  ASSERT_EQ(partial.missing.size(), 1u);
+  EXPECT_EQ(partial.missing[0].first, lost.begin);
+  EXPECT_EQ(partial.missing[0].second, lost.end);
+  EXPECT_THROW(dist::merge_journals(plan, cfg.journal_dir),
+               dist::SerializeError);
+
+  // The partial total is exactly the healthy shards' sum: finishing
+  // shard 0 out-of-band (resuming the coordinator's journal) heals the
+  // plain re-merge and the re-merge WITH the manifest alike.
+  dist::run_shard(*w, plan, 0, cfg.journal_dir, nullptr);
+  const std::uint64_t expected = single_process_total(spec);
+  EXPECT_EQ(dist::merge_journals(plan, cfg.journal_dir).total, expected);
+  const auto healed = dist::merge_journals(plan, cfg.journal_dir, &manifest);
+  EXPECT_TRUE(healed.complete());
+  EXPECT_EQ(healed.total, expected);
+}
+
+// ---- the end of a campaign ------------------------------------------------
+
+TEST_F(ServiceTest, WorkersExitCleanlyWhenTheCampaignEndsAndServeStops) {
+  // serve's shutdown order: wait_complete() then stop() at once. The
+  // worker that seals the last shard and the worker idling for work must
+  // both learn the campaign is over from the protocol, not from a closed
+  // socket — with a 1-attempt reconnect budget, a closed socket is a
+  // NetError out of run_worker.
+  const std::string spec = "e10:4";
+  const auto w = dist::EnumWorkload::parse(spec);
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 1);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  svc::Coordinator coord(plan, cfg);
+
+  std::vector<svc::WorkerReport> reps(2);
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> workers;
+  for (std::size_t k = 0; k < 2; ++k) {
+    workers.emplace_back([&, k] {
+      svc::WorkerOptions o;
+      o.name = "w" + std::to_string(k);
+      o.throttle_ms = 2;  // the one shard outlasts the idle worker's connect
+      o.reconnect.max_attempts = 1;
+      try {
+        reps[k] = svc::run_worker("127.0.0.1", coord.port(), o);
+      } catch (const std::exception& e) {
+        errors[k] = e.what();
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (coord.report().runners_seen < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
+  coord.stop();
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+  EXPECT_EQ(reps[0].sealed + reps[1].sealed, 1u);
+  EXPECT_EQ(dist::merge_journals(plan, cfg.journal_dir).total,
+            single_process_total(spec));
+}
+
+TEST_F(ServiceTest, StorelessCoordinatorGetsNoOrbitRoundTrips) {
+  // No cache dir on the coordinator: its hello says so, and workers
+  // without a local tier keep every orbit in memory instead of asking
+  // a store that can only miss.
+  const std::string spec = "e10:6";
+  const auto w = dist::EnumWorkload::parse(spec);
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 2);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  svc::Coordinator coord(plan, cfg);
+  svc::WorkerOptions o;
+  o.name = "w";
+  const svc::WorkerReport rep = svc::run_worker("127.0.0.1", coord.port(), o);
+  ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
+  EXPECT_GT(rep.telemetry.cache_misses, 0u);
+  const svc::ServiceReport r = coord.report();
+  EXPECT_EQ(r.tier_gets, 0u);
+  EXPECT_EQ(r.tier_stores, 0u);
+  EXPECT_EQ(dist::merge_journals(plan, cfg.journal_dir).total,
+            single_process_total(spec));
 }
 
 TEST_F(ServiceTest, ExpiredLeaseholderIsFencedAndTheShardRecovers) {
@@ -264,7 +391,6 @@ TEST_F(ServiceTest, ExpiredLeaseholderIsFencedAndTheShardRecovers) {
   // The shard is re-grantable and the run still completes exactly.
   svc::WorkerOptions clean;
   clean.name = "clean";
-  clean.remote_store = false;
   svc::run_worker("127.0.0.1", coord.port(), clean);
   ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
   const dist::MergeResult merged =
@@ -314,6 +440,30 @@ TEST_F(ServiceTest, ForeignWireVersionIsAnsweredAsAVersionErrorNotCorruption) {
   ASSERT_EQ(f.kind, dist::WireKind::kError);
   EXPECT_EQ(svc::decode_error_reply(f.payload).code,
             svc::ErrorCode::kVersion);
+}
+
+TEST(ServiceProtocol, V4TailsRoundTripAndV3RepliesStillDecode) {
+  svc::SealReply sr;
+  sr.accepted = true;
+  sr.campaign_done = true;
+  std::vector<std::uint8_t> p = svc::encode(sr);
+  EXPECT_TRUE(svc::decode_seal_reply(p).campaign_done);
+  p.pop_back();  // the v3 seal reply: no campaign_done tail
+  const svc::SealReply v3_seal = svc::decode_seal_reply(p);
+  EXPECT_TRUE(v3_seal.accepted);
+  EXPECT_FALSE(v3_seal.campaign_done);
+
+  svc::HelloReply hr;
+  hr.workload_spec = "e10:4";
+  hr.orbit_store = false;
+  p = svc::encode(hr);
+  EXPECT_FALSE(svc::decode_hello_reply(p).orbit_store);
+  p.pop_back();  // the v3 hello reply: a v3 worker always used the store
+  const svc::HelloReply v3_hello = svc::decode_hello_reply(p);
+  EXPECT_EQ(v3_hello.workload_spec, "e10:4");
+  EXPECT_TRUE(v3_hello.orbit_store);
+  p.push_back(2);  // a flag byte that is neither 0 nor 1
+  EXPECT_THROW(svc::decode_hello_reply(p), dist::SerializeError);
 }
 
 TEST_F(ServiceTest, UnknownRoleIsRefused) {
@@ -545,7 +695,6 @@ TEST_F(ServiceTest, LedgerJournalDisagreementIsARefusalNotAGuess) {
     svc::Coordinator coord(plan, cfg);
     svc::WorkerOptions o;
     o.name = "w";
-    o.remote_store = false;
     svc::run_worker("127.0.0.1", coord.port(), o);
     ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
   }
@@ -572,7 +721,6 @@ TEST_F(ServiceTest, WorkerStartedBeforeItsCoordinatorConnectsViaBackoff) {
   std::thread t([&] {
     svc::WorkerOptions o;
     o.name = "early";
-    o.remote_store = false;
     o.reconnect.max_attempts = 100;
     o.reconnect.base_delay = std::chrono::milliseconds(10);
     o.reconnect.max_delay = std::chrono::milliseconds(100);
@@ -618,7 +766,6 @@ TEST_F(ServiceTest, WorkerRidesOutACoordinatorRestartAndTheRunCompletes) {
   std::thread t([&] {
     svc::WorkerOptions o;
     o.name = "steady";
-    o.remote_store = false;
     o.throttle_ms = 1;  // widen the mid-lease window the restart hits
     o.chunk_records = 16;
     o.reconnect.max_attempts = 200;
