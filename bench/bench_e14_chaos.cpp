@@ -19,8 +19,11 @@
 //    the FIRST worker only: a worker killed mid-lease (worker.index
 //    crash), corrupted cache-tier decodes and failing tier publishes
 //    (the worker runs its FsOrbitStore, so that is where tier faults
-//    live). The kill must show requeues (the fault actually fired), the
-//    tier faults none, and EVERY scenario must merge bit-identical to
+//    live). Every drill must show its fault fired: the kill as requeues,
+//    the tier faults in the armed worker's own `tier faults:` log line
+//    (corrupt decodes quarantined, failing publishes retried, exhausted
+//    or degraded) without a requeue. EVERY scenario must merge
+//    bit-identical to
 //    the single-process total — 5426593 on the default battery — with
 //    every worker that was not doomed exiting 0. A forced quarantine
 //    run (max_attempts=1, one crashing worker per shard) must produce a
@@ -37,6 +40,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -65,19 +69,48 @@ constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 4;
 constexpr unsigned kWorkers = 2;
 
+/// What shows that a scenario's fault fired.
+enum class Evidence {
+  kNothing,      ///< fault-free control
+  kRequeue,      ///< the armed worker died: its shard requeued
+  kQuarantine,   ///< the armed worker quarantined corrupt tier files
+  kPublishFault, ///< the armed worker's tier publishes retried/failed
+};
+
 /// One seeded fault class of the fleet matrix. `doomed` scenarios kill
 /// the armed worker, so they must requeue and the armed worker must exit
 /// with the crash code; the others must run without a requeue.
 struct Scenario {
   const char* name;
   bool doomed;
+  Evidence evidence;
 };
 constexpr Scenario kScenarios[] = {
-    {"none", false},
-    {"worker-kill", true},
-    {"corrupt-tier", false},
-    {"publish-error", false},
+    {"none", false, Evidence::kNothing},
+    {"worker-kill", true, Evidence::kRequeue},
+    {"corrupt-tier", false, Evidence::kQuarantine},
+    {"publish-error", false, Evidence::kPublishFault},
 };
+
+/// The tier-fault counters a worker logged: `rvt_cli worker` prints
+/// "tier faults: R retries, E exhausted, Q quarantined[, DEGRADED ...]"
+/// when any of them is non-zero; no line means all zero.
+struct TierFaults {
+  unsigned long long retries = 0, exhausted = 0, quarantined = 0;
+  bool degraded = false;
+};
+TierFaults read_tier_faults(const std::string& log_path) {
+  TierFaults f;
+  std::ifstream in(log_path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("tier faults: ", 0) != 0) continue;
+    std::sscanf(line.c_str(),
+                "tier faults: %llu retries, %llu exhausted, %llu quarantined",
+                &f.retries, &f.exhausted, &f.quarantined);
+    f.degraded = line.find("DEGRADED") != std::string::npos;
+  }
+  return f;
+}
 
 /// The RVT_FAILPOINTS value armed in the first worker. `seed` makes the
 /// probabilistic scenario deterministic and picks the kill depth (a
@@ -101,6 +134,7 @@ struct FleetRun {
   svc::ServiceReport report;
   dist::QuarantineManifest manifest;
   std::vector<int> exits;  ///< per worker, launch order
+  std::vector<std::string> logs;  ///< per worker, launch order
 };
 
 /// Runs `plan` on an in-process coordinator drained by one `rvt_cli
@@ -130,8 +164,8 @@ FleetRun run_fleet(const dist::ShardPlan& plan, const std::string& cli,
       args.push_back("--cache-dir");
       args.push_back(cache_dir);
     }
-    pids.push_back(bench::spawn(args, dir + "/" + name + ".log",
-                                worker_env[k]));
+    run.logs.push_back(dir + "/" + name + ".log");
+    pids.push_back(bench::spawn(args, run.logs.back(), worker_env[k]));
     if (k == 0 && !worker_env[k].empty()) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -356,10 +390,24 @@ int main(int argc, char** argv) {
       exits_ok &= run.exits[k] ==
                   (armed_to_die ? util::kFailpointCrashExitCode : 0);
     }
-    // A kill with zero requeues means the fault never fired — the drill
-    // would be vacuous, so that is a FAILURE too.
+    // A drill whose fault never fired would be vacuous, so that is a
+    // FAILURE too: a kill must requeue, a tier fault must show in the
+    // armed worker's log.
     const std::uint64_t requeues = run.report.shards_requeued;
-    const bool ok = merged_ok && exits_ok &&
+    const TierFaults faults = read_tier_faults(run.logs[0]);
+    bool fired = true;
+    switch (sc.evidence) {
+      case Evidence::kNothing:
+      case Evidence::kRequeue:
+        break;
+      case Evidence::kQuarantine:
+        fired = faults.quarantined >= 1;
+        break;
+      case Evidence::kPublishFault:
+        fired = faults.retries + faults.exhausted >= 1 || faults.degraded;
+        break;
+    }
+    const bool ok = merged_ok && exits_ok && fired &&
                     run.report.shards_quarantined == 0 &&
                     (sc.doomed ? requeues >= 1 : requeues == 0);
     total_requeues += requeues;
@@ -372,7 +420,14 @@ int main(int argc, char** argv) {
     all_ok &= check(ok, std::string("scenario ") + sc.name + ": merged " +
                             std::to_string(merged_total) + " after " +
                             std::to_string(requeues) +
-                            " requeues, worker exits " + exit_list);
+                            " requeues, worker exits " + exit_list +
+                            ", armed worker tier faults " +
+                            std::to_string(faults.retries) + " retries/" +
+                            std::to_string(faults.exhausted) +
+                            " exhausted/" +
+                            std::to_string(faults.quarantined) +
+                            " quarantined" +
+                            (faults.degraded ? "/degraded" : ""));
   }
   const double chaos_seconds = chaos_timer.seconds();
 

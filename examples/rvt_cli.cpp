@@ -18,7 +18,9 @@
 //     a workload into content-addressed shard specs; `run` executes one
 //     shard into a crash-safe journal, resuming a killed run at the
 //     first uncommitted index (an optional --cache-dir makes a shared
-//     filesystem the cross-process orbit-cache tier); `merge` validates
+//     filesystem the cross-process orbit-cache tier; without one no
+//     orbit cache is kept and repeated bindings are answered from the
+//     run's verdict memo); `merge` validates
 //     and totals the sealed journals — bit-identical to a
 //     single-process sweep (with --quarantine, the manifest's shards
 //     may be missing and are reported as explicit uncovered ranges).
@@ -49,11 +51,11 @@
 //     exits 0 once the campaign is done (its own seal completed it, or
 //     a lease request answered kDrained). Without --cache-dir the
 //     worker uses the coordinator's remote orbit store if serve has a
-//     --cache-dir, else only its in-memory cache. One machine is a
-//     fleet too: `serve` plus N local `worker`s. serve exits 0
-//     complete, 3 partial coverage (quarantined shards, manifest
-//     written), 1 error; worker exits 0 drained, 1 error (41 when an
-//     armed crash failpoint fired).
+//     --cache-dir, else no orbit cache (the verdict memo answers
+//     repeated bindings). One machine is a fleet too: `serve` plus N
+//     local `worker`s. serve exits 0 complete, 3 partial coverage
+//     (quarantined shards, manifest written), 1 error; worker exits 0
+//     drained, 1 error (41 when an armed crash failpoint fired).
 //
 //   rvt_cli trace export --chrome <trace-file> [--out FILE]
 //     Decodes a binary trace written under RVT_TRACE_FILE (obs/trace.hpp
@@ -253,15 +255,19 @@ int run_shard_mode(int argc, char** argv) {
     try {
       const dist::ShardPlan plan = dist::load_plan(plan_path);
       const auto w = dist::EnumWorkload::parse(plan.workload_spec);
-      sim::OrbitCache cache;
+      // An in-memory cache only pays where something can adopt its sets:
+      // the tier. Without one, the context's verdict memo answers every
+      // repeated binding, and re-extracting beats snapshotting each set.
+      std::optional<sim::OrbitCache> cache;
       std::unique_ptr<dist::FsOrbitStore> tier;
       if (!cache_dir.empty()) {
         tier = std::make_unique<dist::FsOrbitStore>(cache_dir);
-        cache.set_backing(tier.get());
+        cache.emplace().set_backing(tier.get());
       }
       const dist::ShardRunStats stats =
-          dist::run_shard(*w, plan, shard_index, journal_dir, &cache, run_opt);
-      const auto cs = cache.stats();
+          dist::run_shard(*w, plan, shard_index, journal_dir,
+                          cache ? &*cache : nullptr, run_opt);
+      const auto cs = cache ? cache->stats() : sim::OrbitCache::Stats{};
       if (stats.already_complete) {
         std::cout << "shard " << shard_index
                   << ": already complete (double completion detected), sum "
@@ -273,7 +279,8 @@ int run_shard_mode(int argc, char** argv) {
                   << " (cache: " << cs.hits << " hits, " << cs.tier_hits
                   << " tier hits, " << cs.tier_stores << " tier stores; "
                   << stats.telemetry.canonical_collapses
-                  << " canonical collapses)\n";
+                  << " canonical collapses, " << stats.telemetry.memo_hits
+                  << " memo hits)\n";
         if (stats.telemetry.tier_retries != 0 ||
             stats.telemetry.tier_exhausted != 0 ||
             stats.telemetry.tier_quarantined != 0 ||
@@ -603,12 +610,15 @@ int run_worker_mode(int argc, char** argv) {
               << rep.sealed << " sealed, " << rep.revoked << " revoked, "
               << rep.indices << " indices, " << rep.defeats << " defeats, "
               << rep.chunks << " chunks, " << rep.reconnects
-              << " reconnects, " << rep.fenced << " fenced\n";
+              << " reconnects, " << rep.fenced << " fenced, "
+              << rep.telemetry.memo_hits << " memo hits\n";
     if (rep.telemetry.tier_retries != 0 || rep.telemetry.tier_exhausted != 0 ||
+        rep.telemetry.tier_quarantined != 0 ||
         rep.telemetry.tier_degraded != 0) {
       std::cout << "tier faults: " << rep.telemetry.tier_retries
                 << " retries, " << rep.telemetry.tier_exhausted
-                << " exhausted"
+                << " exhausted, " << rep.telemetry.tier_quarantined
+                << " quarantined"
                 << (rep.telemetry.tier_degraded != 0
                         ? ", DEGRADED to compute-through"
                         : "")

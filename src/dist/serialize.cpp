@@ -322,6 +322,10 @@ deserialize_orbit_set(std::span<const std::uint8_t> payload) {
     throw SerializeError("orbit set: collision count exceeds payload");
   }
   set->collisions.resize(pairs);
+  // Tables land in one arena and are bound as windows into it, like the
+  // orbit payloads, once it has stopped growing.
+  std::vector<std::uint8_t>& tables = set->collision_arena;
+  std::vector<std::uint32_t> lens(pairs);
   for (std::uint32_t i = 0; i < pairs; ++i) {
     auto& p = set->collisions[i];
     p.root_a = r.u32();
@@ -329,10 +333,20 @@ deserialize_orbit_set(std::span<const std::uint8_t> payload) {
     if (p.root_a >= n || p.root_b >= n) {
       throw SerializeError("orbit set: collision root out of range");
     }
-    const std::uint32_t len = r.u32();
-    p.table.resize(len);
-    r.raw(p.table.data(), len);
-    bytes += sizeof(sim::CompiledConfigEngine::CyclePair) + len;
+    lens[i] = r.u32();
+    if (lens[i] > r.remaining()) {
+      throw SerializeError("orbit set: collision table exceeds payload");
+    }
+    if (lens[i] > 0) {
+      const std::size_t at = tables.size();
+      tables.resize(at + lens[i]);
+      r.raw(tables.data() + at, lens[i]);
+    }
+    bytes += sizeof(sim::CompiledConfigEngine::CyclePair) + lens[i];
+  }
+  tables.shrink_to_fit();
+  for (std::size_t i = 0, co = 0; i < pairs; co += lens[i], ++i) {
+    set->collisions[i].table.bind_external(tables.data() + co, lens[i]);
   }
   if (r.u8() != 0) {
     const std::uint64_t entries = r.u64();

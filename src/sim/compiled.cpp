@@ -336,6 +336,7 @@ std::span<const std::uint8_t> CompiledConfigEngine::cycle_pair_collisions(
   // callers then fall back to scanning.
   const std::uint64_t budget = 8 * (la + lb) + 64;
   table.assign(g, 0);
+  std::uint8_t* const marks_out = table.data();
   for (std::uint64_t j = 0; j < lb; ++j) {
     node_positions_[cyc_b[j]].push_back(static_cast<std::uint32_t>(j % g));
   }
@@ -350,7 +351,7 @@ std::span<const std::uint8_t> CompiledConfigEngine::cycle_pair_collisions(
       break;
     }
     for (const std::uint32_t jm : positions) {
-      table[im >= jm ? im - jm : im + g - jm] = 1;
+      marks_out[im >= jm ? im - jm : im + g - jm] = 1;
     }
     if (++im == g) im = 0;
   }
@@ -466,21 +467,34 @@ CompiledConfigEngine::snapshot_orbits() const {
   if (!cindex_epoch_.empty()) {
     set->collision_index.assign(static_cast<std::size_t>(n_) * n_, -1);
   }
-  std::size_t live = 0;
-  for (const CyclePair& p : collision_) {
-    live += p.epoch == epoch_ ? 1 : 0;
-  }
-  set->collisions.reserve(live);
+  std::size_t live = 0, table_bytes = 0;
   for (const CyclePair& p : collision_) {
     if (p.epoch == epoch_) {
-      if (!set->collision_index.empty()) {
-        set->collision_index[static_cast<std::size_t>(p.root_a) * n_ +
-                             p.root_b] =
-            static_cast<std::int32_t>(set->collisions.size());
-      }
-      set->collisions.push_back(p);
-      bytes += sizeof(CyclePair) + p.table.size();
+      ++live;
+      table_bytes += p.table.size();
     }
+  }
+  set->collisions.resize(live);
+  set->collision_arena.resize(table_bytes);
+  std::size_t k = 0, co = 0;
+  for (const CyclePair& p : collision_) {
+    if (p.epoch != epoch_) continue;
+    if (!set->collision_index.empty()) {
+      set->collision_index[static_cast<std::size_t>(p.root_a) * n_ +
+                           p.root_b] = static_cast<std::int32_t>(k);
+    }
+    CyclePair& dst = set->collisions[k++];
+    dst.root_a = p.root_a;
+    dst.root_b = p.root_b;
+    dst.epoch = p.epoch;
+    if (!p.table.empty()) {
+      std::memcpy(set->collision_arena.data() + co, p.table.data(),
+                  p.table.size());
+    }
+    dst.table.bind_external(set->collision_arena.data() + co,
+                            p.table.size());
+    co += p.table.size();
+    bytes += sizeof(CyclePair) + p.table.size();
   }
   bytes += set->collision_index.size() * sizeof(std::int32_t);
   set->bytes = bytes;

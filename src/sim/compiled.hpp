@@ -146,12 +146,15 @@ class CompiledConfigEngine {
   /// sweeps exactly the alignment class i - j mod g). A root pair with
   /// root_a == root_b is the classic same-cycle case (g = lambda). An
   /// EMPTY table means the build gave up (degenerate occupancy); callers
-  /// fall back to scanning one joint period.
+  /// fall back to scanning one joint period. Engine-local tables own
+  /// their storage; a published set's tables are windows into its
+  /// collision_arena (most tables are a few bytes, so one heap block
+  /// each would cost more than the table).
   struct CyclePair {
     std::uint32_t root_a = 0;
     std::uint32_t root_b = 0;
     std::uint32_t epoch = 0;       ///< binding the table belongs to
-    std::vector<std::uint8_t> table;  ///< g entries; empty = gave up
+    OrbitBuf<std::uint8_t> table;  ///< g entries; empty = gave up
   };
 
   /// An immutable bundle of extracted orbits + collision tables for one
@@ -175,6 +178,9 @@ class CompiledConfigEngine {
     /// present with an empty table means the build gave up — consumers
     /// fall back to scanning, never re-running the build.
     std::vector<CyclePair> collisions;
+    /// Contiguous arena backing every published table (in `collisions`
+    /// order), like the orbit arenas above.
+    std::vector<std::uint8_t> collision_arena;
     /// Dense (root_a * n + root_b) -> collisions index (-1 = absent),
     /// present when the tree is small enough (kCollisionIndexMaxN);
     /// otherwise consumers scan `collisions` linearly.

@@ -1,5 +1,6 @@
 #include "sim/enumeration.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,13 +14,17 @@ namespace {
 
 /// Observability for the binding path, split by orbit-cache outcome so
 /// the scrape shows the tier's latency shape (a hot tier keeps the hit
-/// histogram orders of magnitude below the miss one). Gated: a
-/// disabled process pays exactly the obs::enabled() relaxed load —
-/// prepare() passes t0 == 0 and this returns on the first branch. The
+/// histogram orders of magnitude below the miss one). Every binding is
+/// counted; only bindings that did work are timed (t0_ns != 0): a set
+/// the in-memory table already held is a sub-microsecond pointer
+/// adoption that two clock reads would outweigh. Gated: a disabled
+/// process pays exactly the obs::enabled() relaxed load — prepare()
+/// passes armed == false and this returns on the first branch. The
 /// registry references are static locals, so the lookup mutex is paid
 /// once per process, not per binding.
-inline void note_binding_prepared(std::uint64_t t0_ns, bool cache_hit) {
-  if (t0_ns == 0) return;
+inline void note_binding_prepared(bool armed, std::uint64_t t0_ns,
+                                  bool cache_hit) {
+  if (!armed) return;
   static obs::Histogram& hit_ns =
       obs::Registry::instance().histogram("rvt_enum_bind_hit_ns");
   static obs::Histogram& miss_ns =
@@ -28,12 +33,74 @@ inline void note_binding_prepared(std::uint64_t t0_ns, bool cache_hit) {
       obs::Registry::instance().counter("rvt_orbit_cache_hits_total");
   static obs::Counter& misses =
       obs::Registry::instance().counter("rvt_orbit_cache_misses_total");
-  const std::uint64_t dt = obs::now_ns() - t0_ns;
-  (cache_hit ? hit_ns : miss_ns).record(dt);
+  if (t0_ns != 0) {
+    (cache_hit ? hit_ns : miss_ns).record(obs::now_ns() - t0_ns);
+  }
   (cache_hit ? hits : misses).add(1);
 }
 
+/// Same gating as note_binding_prepared: one relaxed load when idle.
+inline void note_memo_hit() {
+  if (!obs::enabled()) return;
+  static obs::Counter& hits =
+      obs::Registry::instance().counter("rvt_enum_memo_hits_total");
+  hits.add(1);
+}
+
 }  // namespace
+
+OrbitKey enum_grid_key(const EnumGrid& grid, std::uint64_t max_rounds) {
+  const OrbitKey tree_key = tree_orbit_key(*grid.tree);
+  OrbitKeyHasher h;
+  h.feed(tree_key.hi);
+  h.feed(tree_key.lo);
+  h.feed(grid.agents);
+  h.feed(max_rounds);
+  h.feed(grid.starts.size());
+  for (const tree::NodeId s : grid.starts) {
+    h.feed(static_cast<std::uint64_t>(s));
+  }
+  for (const std::uint64_t d : grid.delays) h.feed(d);
+  return h.key();
+}
+
+const std::uint64_t* EnumerationContext::VerdictMemo::find(
+    const OrbitKey& key) const {
+  if (slots_.empty()) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  const std::uint64_t hi = key.hi, lo = key.lo | ((key.hi | key.lo) == 0);
+  for (std::size_t i = lo & mask;; i = (i + 1) & mask) {
+    const Entry& e = slots_[i];
+    if (e.hi == hi && e.lo == lo) return &e.count;
+    if ((e.hi | e.lo) == 0) return nullptr;
+  }
+}
+
+void EnumerationContext::VerdictMemo::insert(const OrbitKey& key,
+                                             std::uint64_t count) {
+  if (4 * (filled_ + 1) > 3 * slots_.size()) {
+    std::vector<Entry> old(std::max<std::size_t>(2 * slots_.size(), 1024));
+    old.swap(slots_);
+    filled_ = 0;
+    for (const Entry& e : old) {
+      if ((e.hi | e.lo) != 0) insert({e.hi, e.lo}, e.count);
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  const std::uint64_t hi = key.hi, lo = key.lo | ((key.hi | key.lo) == 0);
+  for (std::size_t i = lo & mask;; i = (i + 1) & mask) {
+    Entry& e = slots_[i];
+    if ((e.hi | e.lo) == 0) {
+      e = {hi, lo, count};
+      ++filled_;
+      return;
+    }
+    if (e.hi == hi && e.lo == lo) {
+      e.count = count;
+      return;
+    }
+  }
+}
 
 EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
                                        std::uint64_t max_rounds,
@@ -83,6 +150,7 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
     }
     slot.orbit_ptr.assign(static_cast<std::size_t>(n), nullptr);
     if (cache_ != nullptr) slot.tree_key = tree_orbit_key(*grid.tree);
+    slot.grid_key = enum_grid_key(grid, max_rounds_);
   }
 }
 
@@ -94,19 +162,43 @@ void EnumerationContext::require_meet(std::size_t g) const {
   }
 }
 
+void EnumerationContext::require_bound() const {
+  if (automaton_ == nullptr) {
+    throw std::logic_error("EnumerationContext: bind() an automaton first");
+  }
+}
+
 void EnumerationContext::bind(const TabularAutomaton& a) {
   automaton_ = &a;
   ++serial_;
   automaton_key_valid_ = false;
 }
 
-EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
-  if (automaton_ == nullptr) {
-    throw std::logic_error("EnumerationContext: bind() an automaton first");
+const OrbitKey& EnumerationContext::automaton_key() {
+  if (!automaton_key_valid_) {
+    // Canonical dedup key: equivalent enumerated automata (unreachable
+    // states, renumbering, impossible-input entries) share one cache
+    // entry — and one extraction — per tree, and one memo entry per grid.
+    const TabularAutomaton canon = canonical_reachable_form(*automaton_);
+    if (!(canon == *automaton_)) ++stats_.canonical_collapses;
+    automaton_key_ = automaton_orbit_key(canon);
+    automaton_key_valid_ = true;
   }
+  return automaton_key_;
+}
+
+EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
+  require_bound();
   Slot& slot = slots_[g];
   if (slot.warmed_serial == serial_) return slot;
-  const std::uint64_t obs_t0 = obs::enabled() ? obs::now_ns() : 0;
+  const OrbitKey key = cache_ != nullptr
+                           ? combine_orbit_keys(slot.tree_key, automaton_key())
+                           : OrbitKey{};
+  const bool obs_armed = obs::enabled();
+  const std::uint64_t obs_t0 =
+      obs_armed && (cache_ == nullptr || cache_->peek(key) == nullptr)
+          ? obs::now_ns()
+          : 0;
   const bool constructed = !slot.engine.has_value();
   if (constructed) {
     slot.engine.emplace(*grids_[g].tree, *automaton_);
@@ -115,16 +207,6 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   slot.cache_hit = false;
   if (!bound) ++stats_.bindings;
   if (cache_ != nullptr) {
-    if (!automaton_key_valid_) {
-      // Canonical dedup key: equivalent enumerated automata (unreachable
-      // states, renumbering, impossible-input entries) share one cache
-      // entry — and one extraction — per tree.
-      const TabularAutomaton canon = canonical_reachable_form(*automaton_);
-      if (!(canon == *automaton_)) ++stats_.canonical_collapses;
-      automaton_key_ = automaton_orbit_key(canon);
-      automaton_key_valid_ = true;
-    }
-    const OrbitKey key = combine_orbit_keys(slot.tree_key, automaton_key_);
     auto set = cache_->acquire(key);
     if (set != nullptr) {
       // Adopt only if the published set covers every start this grid
@@ -153,7 +235,7 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
         ++stats_.cache_hits;
         slot.bound_serial = serial_;
         slot.warmed_serial = serial_;
-        note_binding_prepared(obs_t0, true);
+        note_binding_prepared(obs_armed, obs_t0, true);
         return slot;
       } else {
         // Partial coverage: bind fully and extract the gaps locally (we
@@ -211,14 +293,12 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   }
   slot.bound_serial = serial_;
   slot.warmed_serial = serial_;
-  note_binding_prepared(obs_t0, slot.cache_hit);
+  note_binding_prepared(obs_armed, obs_t0, slot.cache_hit);
   return slot;
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
-  if (automaton_ == nullptr) {
-    throw std::logic_error("EnumerationContext: bind() an automaton first");
-  }
+  require_bound();
   if (cache_ != nullptr) return prepare(g);  // cached sweeps warm fully
   Slot& slot = slots_[g];
   if (slot.bound_serial == serial_) return slot;
@@ -350,15 +430,24 @@ std::ptrdiff_t EnumerationContext::first_unmet(std::size_t g) {
 
 std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
   require_meet(g);
+  require_bound();
+  const EnumGrid& grid = grids_[g];
+  const std::size_t nq = grid.query_count();
+  const OrbitKey memo_key =
+      combine_orbit_keys(slots_[g].grid_key, automaton_key());
+  if (const std::uint64_t* known = memo_.find(memo_key)) {
+    ++stats_.memo_hits;
+    stats_.queries += nq;
+    note_memo_hit();
+    return *known;
+  }
   Slot& slot = prepare(g);
   prefetch_next(g);
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
-  const EnumGrid& grid = grids_[g];
   std::uint64_t unmet = 0;
   const tree::NodeId* sdata = grid.starts.data();
   const std::uint64_t* ddata = grid.delays.data();
-  const std::size_t nq = grid.query_count();
   std::size_t i = 0;
   while (i < nq) {
     const tree::NodeId* s = sdata + 2 * i;
@@ -372,6 +461,7 @@ std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
     i = j;
   }
   stats_.queries += nq;
+  memo_.insert(memo_key, unmet);
   return unmet;
 }
 

@@ -26,10 +26,21 @@
 // cache protocol (orbits are per-agent; nothing below this layer knows k).
 //
 // Grids are validated once at construction; the steady state allocates
-// nothing. When an OrbitCache is attached, each binding's orbits are
-// acquired from / published to it, so a battery shared by several workers
-// (or repeated passes of one worker) extracts each orbit once per machine
-// — every verdict carries the cache_hit flag for telemetry.
+// nothing but verdict-memo growth. When an OrbitCache is attached, each
+// binding's orbits are acquired from / published to it, so a battery
+// shared by several workers (or repeated passes of one worker) extracts
+// each orbit once per machine — every verdict carries the cache_hit flag
+// for telemetry.
+//
+// count_unmet() answers from a context-wide VERDICT MEMO first: a
+// content-addressed table of (grid key x canonical automaton key) ->
+// defeat count. The grid key hashes what a count depends on besides the
+// automaton (the tree's content key, the arity, every start and delay,
+// max_rounds), and key-equal automata produce identical trajectories on
+// every tree (the invariant the orbit cache's keys already rely on), so
+// a repeated binding — the same canonical automaton on the same grid
+// content, whichever grid index carries it — returns the stored count
+// without preparing an engine or scanning a query.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -116,11 +127,21 @@ struct EnumGrid {
   }
 };
 
+/// The verdict-memo key of a grid's content: the tree's content key
+/// (tree_orbit_key), the arity, every start and delay, and max_rounds —
+/// everything a defeat count depends on besides the automaton. Grids of
+/// equal content (even over distinct Tree objects of one structure) get
+/// one key; grids differing in any of these never share one.
+OrbitKey enum_grid_key(const EnumGrid& grid, std::uint64_t max_rounds);
+
 /// Telemetry aggregated across the workers of one sweep_enumeration call
 /// (or collected manually from a directly-driven context).
 struct EnumTelemetry {
-  std::uint64_t queries = 0;           ///< verdicts produced
+  std::uint64_t queries = 0;           ///< queries answered
   std::uint64_t bindings = 0;          ///< (automaton, grid) preparations
+  /// count_unmet() calls answered by the verdict memo: no preparation,
+  /// no scan — so not counted in `bindings`.
+  std::uint64_t memo_hits = 0;
   std::uint64_t cache_hits = 0;        ///< bindings served by the cache
   std::uint64_t cache_misses = 0;      ///< bindings extracted locally
   std::uint64_t orbits_extracted = 0;  ///< orbit walks actually run
@@ -189,7 +210,8 @@ class EnumerationContext {
   /// materializing verdicts — the accumulation shape of defeat-density
   /// profiles, where the verdict buffer writes would be the largest
   /// remaining per-query cost. Equals counting met == false over
-  /// verify(g).
+  /// verify(g). Answered from the verdict memo when this context already
+  /// counted the same canonical automaton on the same grid content.
   std::uint64_t count_unmet(std::size_t g);
 
   /// Gathering verdicts of grid g (any arity, k = 2 included) under the
@@ -219,6 +241,7 @@ class EnumerationContext {
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     OrbitKey tree_key;
+    OrbitKey grid_key;  ///< enum_grid_key of the grid
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
     /// Orbit pointer per start node, refreshed by prepare(): the verdict
     /// loop then reads k pointers per query instead of going through the
@@ -232,8 +255,32 @@ class EnumerationContext {
     bool meet_ok = false;
   };
 
+  /// Flat open-addressed (128-bit key -> count) table, linear-probed,
+  /// power-of-two sized, grown at 3/4 load. The all-zero key marks an
+  /// empty slot (a real key equal to it is remapped on the way in).
+  class VerdictMemo {
+   public:
+    /// The stored count for `key`, or nullptr.
+    const std::uint64_t* find(const OrbitKey& key) const;
+    void insert(const OrbitKey& key, std::uint64_t count);
+
+   private:
+    struct Entry {
+      std::uint64_t hi = 0;
+      std::uint64_t lo = 0;
+      std::uint64_t count = 0;
+    };
+    std::vector<Entry> slots_;
+    std::size_t filled_ = 0;
+  };
+
   /// Throws unless grid g qualifies for the meet API (see meet_ok).
   void require_meet(std::size_t g) const;
+  /// Throws unless an automaton is bound.
+  void require_bound() const;
+  /// The bound automaton's canonical key (computed once per binding;
+  /// counts canonical_collapses).
+  const OrbitKey& automaton_key();
 
   /// Ensures slot g's engine is bound to the current automaton with its
   /// orbits warmed (or adopted from the cache); returns the slot.
@@ -254,6 +301,7 @@ class EnumerationContext {
   OrbitKey automaton_key_;
   bool automaton_key_valid_ = false;
   std::vector<Slot> slots_;
+  VerdictMemo memo_;
   std::vector<Verdict> verdicts_;
   std::vector<GatherVerdict> gather_verdicts_;
   EnumTelemetry stats_;
@@ -285,6 +333,7 @@ auto sweep_enumeration(std::span<const EnumGrid> grids, std::uint64_t count,
         const std::lock_guard<std::mutex> lk(stats_mu);
         telemetry->queries += t.queries;
         telemetry->bindings += t.bindings;
+        telemetry->memo_hits += t.memo_hits;
         telemetry->cache_hits += t.cache_hits;
         telemetry->cache_misses += t.cache_misses;
         telemetry->orbits_extracted += t.orbits_extracted;

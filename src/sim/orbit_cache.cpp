@@ -5,25 +5,8 @@
 
 namespace rvt::sim {
 
-namespace {
-
-/// Two independent FNV-1a streams (different offset bases and an extra
-/// avalanche) fed the same serialized words.
-struct Fnv2 {
-  std::uint64_t hi = 0xcbf29ce484222325ull;
-  std::uint64_t lo = 0x9e3779b97f4a7c15ull;
-  void feed(std::uint64_t word) {
-    hi = (hi ^ word) * 0x100000001b3ull;
-    lo = (lo ^ (word * 0xff51afd7ed558ccdull)) * 0xc4ceb9fe1a85ec53ull;
-    lo ^= lo >> 33;
-  }
-  OrbitKey key() const { return {hi, lo}; }
-};
-
-}  // namespace
-
 OrbitKey tree_orbit_key(const tree::Tree& t) {
-  Fnv2 h;
+  OrbitKeyHasher h;
   const tree::NodeId n = t.node_count();
   h.feed(static_cast<std::uint64_t>(n));
   for (tree::NodeId v = 0; v < n; ++v) {
@@ -38,7 +21,7 @@ OrbitKey tree_orbit_key(const tree::Tree& t) {
 }
 
 OrbitKey automaton_orbit_key(const TabularAutomaton& a) {
-  Fnv2 h;
+  OrbitKeyHasher h;
   h.feed(static_cast<std::uint64_t>(a.initial));
   h.feed(static_cast<std::uint64_t>(a.max_degree));
   h.feed(static_cast<std::uint64_t>(a.delta.size()));
@@ -57,7 +40,7 @@ OrbitKey canonical_automaton_key(const TabularAutomaton& a) {
 }
 
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
-  Fnv2 h;
+  OrbitKeyHasher h;
   h.feed(tree.hi);
   h.feed(tree.lo);
   h.feed(automaton.hi);

@@ -80,6 +80,21 @@ OrbitKey canonical_automaton_key(const TabularAutomaton& a);
 /// Order-sensitive combination of two keys.
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 
+/// The incremental hash every key above is built from: two independent
+/// FNV-1a streams (different offset bases and an extra avalanche) fed
+/// the same serialized words. Exposed so other content keys (the
+/// enumeration pipeline's verdict-memo grid key) hash the same way.
+struct OrbitKeyHasher {
+  std::uint64_t hi = 0xcbf29ce484222325ull;
+  std::uint64_t lo = 0x9e3779b97f4a7c15ull;
+  void feed(std::uint64_t word) {
+    hi = (hi ^ word) * 0x100000001b3ull;
+    lo = (lo ^ (word * 0xff51afd7ed558ccdull)) * 0xc4ceb9fe1a85ec53ull;
+    lo ^= lo >> 33;
+  }
+  OrbitKey key() const { return {hi, lo}; }
+};
+
 /// Fault-handling counters of a durable tier. Every OrbitStore reports
 /// them (zeros when the implementation has no fault handling) so the
 /// shard runner can surface retry/degradation telemetry without knowing

@@ -175,18 +175,23 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   }
   bound_fp = ack.fingerprint;
 
-  sim::OrbitCache cache;
+  // An in-memory cache only where a tier can adopt (and serve) its
+  // sets; with neither a local tier nor a coordinator store, the
+  // context's verdict memo answers repeated bindings and the worker
+  // re-extracts instead of snapshotting every set.
+  std::optional<sim::OrbitCache> cache;
   std::unique_ptr<dist::FsOrbitStore> fs_tier;
   std::unique_ptr<NetOrbitStore> net_tier;
   if (!opt.cache_dir.empty()) {
     fs_tier = std::make_unique<dist::FsOrbitStore>(opt.cache_dir);
-    cache.set_backing(fs_tier.get());
+    cache.emplace().set_backing(fs_tier.get());
   } else if (ack.orbit_store) {
     net_tier =
         std::make_unique<NetOrbitStore>(host, port, opt.name + "-store");
-    cache.set_backing(net_tier.get());
+    cache.emplace().set_backing(net_tier.get());
   }
-  sim::EnumerationContext ctx(w->grids(), w->max_rounds(), &cache);
+  sim::EnumerationContext ctx(w->grids(), w->max_rounds(),
+                              cache ? &*cache : nullptr);
 
   // The lease a drop must not forget: grant + compute position + the
   // records not yet acknowledged by the coordinator.
@@ -267,7 +272,7 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
           if (g.campaign_id != 0) obs::set_campaign_id(g.campaign_id);
           // Orbit sets live for one lease: a worker's memory stays one
           // shard's working set however many shards it drains.
-          cache.advance_epoch();
+          if (cache) cache->advance_epoch();
           lease.emplace();
           lease->g = g;
           lease->next = g.next_index;
@@ -348,8 +353,8 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
 
   rep.delay = delay.finish();
   rep.telemetry = ctx.telemetry();
-  if (cache.backing() != nullptr) {
-    const sim::OrbitTierFaultStats fs = cache.backing()->fault_stats();
+  if (cache) {
+    const sim::OrbitTierFaultStats fs = cache->backing()->fault_stats();
     rep.telemetry.tier_retries = fs.retries;
     rep.telemetry.tier_exhausted = fs.exhausted;
     rep.telemetry.tier_quarantined = fs.quarantined;

@@ -11,9 +11,11 @@
 // re-granted); the worker abandons the shard and asks for a fresh
 // lease — the coordinator's committed prefix is not lost.
 //
-// Orbit sets are cached in memory for one lease at a time, so a
-// worker's footprint is one shard's working set however many shards it
-// drains; a local or remote orbit store carries sets across leases.
+// With a local or remote orbit store, orbit sets are cached in memory
+// for one lease at a time, so a worker's footprint is one shard's
+// working set however many shards it drains, and the store carries sets
+// across leases. With neither, no orbit cache is kept: the enumeration
+// context's verdict memo answers repeated bindings for the whole run.
 //
 // The TRANSPORT is expendable: every connect — the first one included —
 // rides one bounded-exponential-backoff loop (util/retry), so a worker
@@ -48,8 +50,8 @@ namespace rvt::svc {
 struct WorkerOptions {
   std::string name = "worker";
   /// Local filesystem orbit-cache tier. Empty: the coordinator's remote
-  /// store (NetOrbitStore) if its hello reply advertises one, else the
-  /// in-memory cache only.
+  /// store (NetOrbitStore) if its hello reply advertises one, else no
+  /// orbit cache at all (repeats are answered by the verdict memo).
   std::string cache_dir;
   /// Records per journal chunk; a flush also happens after
   /// flush_interval_ms regardless of fill, so slow indices still

@@ -142,7 +142,11 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
   OrbitCache cache(4);  // few shards: force real contention
   // The index space repeats every automaton kDup times, so the same
   // (automaton, tree) keys race across workers — without the cache each
-  // binding would be extracted up to kDup times.
+  // binding would be extracted up to kDup times. The racing sweep counts
+  // defeats through verify(), which prepares every binding against the
+  // cache: count_unmet() would answer a worker's own repeats from its
+  // verdict memo, and a sweep one worker happens to drain alone would
+  // then never hit the cache.
   constexpr std::uint64_t kDup = 6;
   std::vector<std::vector<std::uint64_t>> per_epoch_counts;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -153,7 +157,7 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
           ctx.bind(automata[i % kAutomata]);
           std::uint64_t unmet = 0;
           for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
-            unmet += ctx.count_unmet(g);
+            for (const Verdict& v : ctx.verify(g)) unmet += v.met ? 0 : 1;
           }
           return unmet;
         },
@@ -181,7 +185,7 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
   EXPECT_EQ(stats.rejects, 0u);
 
   // Verdict counts are identical across epochs and match a cache-less
-  // single-threaded sweep.
+  // single-threaded count_unmet() sweep (verdict memo included).
   EnumTelemetry solo_telemetry;
   const auto solo = sweep_enumeration(
       grids, kAutomata * kDup, /*max_rounds=*/100000,
@@ -195,6 +199,7 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
       },
       1, nullptr, &solo_telemetry);
   EXPECT_EQ(solo_telemetry.cache_hits, 0u);
+  EXPECT_GT(solo_telemetry.memo_hits, 0u);
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     EXPECT_EQ(per_epoch_counts[epoch], solo) << "epoch " << epoch;
   }

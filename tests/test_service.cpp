@@ -316,9 +316,10 @@ TEST_F(ServiceTest, WorkersExitCleanlyWhenTheCampaignEndsAndServeStops) {
 }
 
 TEST_F(ServiceTest, StorelessCoordinatorGetsNoOrbitRoundTrips) {
-  // No cache dir on the coordinator: its hello says so, and workers
-  // without a local tier keep every orbit in memory instead of asking
-  // a store that can only miss.
+  // No cache dir on the coordinator: its hello says so, and a worker
+  // without a local tier keeps no orbit cache at all — nothing could
+  // adopt its sets — so there is no cache traffic, local or remote, and
+  // repeated bindings are answered by the verdict memo.
   const std::string spec = "e10:6";
   const auto w = dist::EnumWorkload::parse(spec);
   const dist::ShardPlan plan = dist::make_shard_plan(*w, 2);
@@ -329,7 +330,9 @@ TEST_F(ServiceTest, StorelessCoordinatorGetsNoOrbitRoundTrips) {
   o.name = "w";
   const svc::WorkerReport rep = svc::run_worker("127.0.0.1", coord.port(), o);
   ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
-  EXPECT_GT(rep.telemetry.cache_misses, 0u);
+  EXPECT_EQ(rep.telemetry.cache_hits, 0u);
+  EXPECT_EQ(rep.telemetry.cache_misses, 0u);
+  EXPECT_GT(rep.telemetry.memo_hits, 0u);
   const svc::ServiceReport r = coord.report();
   EXPECT_EQ(r.tier_gets, 0u);
   EXPECT_EQ(r.tier_stores, 0u);
