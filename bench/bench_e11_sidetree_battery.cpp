@@ -14,11 +14,10 @@
 //
 // The battery runs on the fused enumeration pipeline: one
 // EnumerationContext holds a per-instance engine whose orbits are warmed
-// by the batched (SIMD-dispatched) stepper, queries are answered from the
-// pair-state core, and a cross-worker OrbitCache carries each instance's
-// orbits across the steady-state min-of-N timing repeats (the warm-up
-// pass extracts and publishes; the timed passes hit — the hit rate lands
-// in the JSON). Delays only shift orbit alignment, so compiled queries
+// once per binding, queries are answered from the pair-state core, and a
+// cross-worker OrbitCache carries each instance's orbits across the
+// steady-state min-of-N timing repeats (the warm-up pass extracts and
+// publishes; the timed passes hit — the hit rate lands in the JSON). Delays only shift orbit alignment, so compiled queries
 // are O(1) in the delay while the reference stepper re-simulates every
 // (pair, delay) schedule to its Brent certificate.
 //
@@ -36,7 +35,6 @@
 #include "sim/automaton.hpp"
 #include "sim/enumeration.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
 
@@ -214,8 +212,7 @@ int main(int argc, char** argv) {
             << queries << " (pair, delay) verifications, min of "
             << kCompiledRepeats << " / " << kReferenceRepeats
             << " repeats, single-threaded):\n"
-            << "  compiled engine:  " << compiled_s << " s (warm orbit "
-            << "cache, simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (warm orbit cache)\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n"
             << "  mismatches:       " << mismatches << "\n"
@@ -235,7 +232,6 @@ int main(int argc, char** argv) {
   comparison.reference_repeats = kReferenceRepeats;
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   comparison.orbit_cache_hits = cache_stats.hits;
   comparison.orbit_cache_misses = cache_stats.misses;
   util::add_engine_comparison(report, comparison);

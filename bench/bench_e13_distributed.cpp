@@ -45,7 +45,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 
 namespace {
 
@@ -206,7 +205,6 @@ int main(int argc, char** argv) {
   report.metric("single_seconds", single_seconds);
   report.metric("distributed_seconds", dist_seconds);
   report.metric("shared_cache_files", static_cast<double>(cache_files));
-  report.note("simd", sim::simd_path_name());
   util::ObservabilitySummary obs_summary;
   obs_summary.time_to_first_survivor_ms =
       delay_stats.time_to_first_survivor_ns < 0

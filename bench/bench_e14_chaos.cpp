@@ -55,7 +55,6 @@
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 #include "svc/coordinator.hpp"
 #include "util/failpoint.hpp"
 #include "util/retry.hpp"
@@ -498,7 +497,6 @@ int main(int argc, char** argv) {
   report.metric("single_defeats", static_cast<double>(single_total));
   report.metric("chaos_seconds", chaos_seconds);
   report.metric("failpoint_overhead_ratio", overhead_ratio);
-  report.note("simd", sim::simd_path_name());
   report.table(table);
   std::cout << "report: " << report.write() << "\n";
 

@@ -49,7 +49,6 @@
 #include "obs/trace.hpp"
 #include "sim/enumeration.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 #include "svc/coordinator.hpp"
 #include "util/failpoint.hpp"
 
@@ -285,7 +284,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(clean_rep.tier_hits));
   report.metric("remote_store_stores",
                 static_cast<double>(clean_rep.tier_stores));
-  report.note("simd", sim::simd_path_name());
   // Enumeration-delay observability over both fleet phases, merged the
   // same deterministic bucket-wise way the coordinator merges shards.
   obs::EnumDelayStats fleet_delay = clean_rep.delay;

@@ -13,8 +13,8 @@
 // (sim/compiled.hpp). After the table, the SAME set of certified instances
 // is re-verified with both engines: the compiled side runs the fused
 // enumeration pipeline (sim/enumeration.hpp — per-case engines kept
-// alive, orbits batched through the SIMD-dispatched stepper and carried
-// across the steady-state min-of-N repeats by a cross-worker OrbitCache)
+// alive, orbits carried across the steady-state min-of-N repeats by a
+// cross-worker OrbitCache)
 // against the legacy interpretive stepper; the two wall-clocks, the
 // speedup and the pipeline telemetry land in BENCH_E1.json.
 //
@@ -32,7 +32,6 @@
 #include "sim/compiled.hpp"
 #include "sim/enumeration.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
 
@@ -238,8 +237,7 @@ int main(int argc, char** argv) {
   std::cout << "\ncertification workload (" << timed.size()
             << " instances x " << kDelayGrid << " delays, min of "
             << kRepeats << " repeats):\n"
-            << "  compiled engine:  " << compiled_s << " s (warm orbit "
-            << "cache, simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (warm orbit cache)\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n";
 
@@ -255,7 +253,6 @@ int main(int argc, char** argv) {
   comparison.reference_repeats = kRepeats;
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   comparison.orbit_cache_hits = cache_stats.hits;
   comparison.orbit_cache_misses = cache_stats.misses;
   util::add_engine_comparison(report, comparison);

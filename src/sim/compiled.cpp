@@ -27,16 +27,13 @@ CompiledConfigEngine::CompiledConfigEngine(const tree::Tree& t,
   // Flatten the substrate: the orbit walk is the hot loop of every
   // certification, and the generic Tree accessors cost several
   // indirections per step. nbrev_ packs (neighbor << 8 | reverse_port)
-  // into one load (ports fit 8 bits: max_degree <= 255 by validate());
-  // deg32_ mirrors deg_ widened to 32 bits for the SIMD gather path.
+  // into one load (ports fit 8 bits: max_degree <= 255 by validate()).
   max_deg_ = a.max_degree;
   deg_.resize(static_cast<std::size_t>(n_));
-  deg32_.resize(static_cast<std::size_t>(n_));
   nbrev_.resize(static_cast<std::size_t>(n_) * max_deg_);
   for (tree::NodeId v = 0; v < n_; ++v) {
     const int d = t.degree(v);
     deg_[v] = static_cast<std::uint8_t>(d);
-    deg32_[v] = d;
     for (tree::Port p = 0; p < d; ++p) {
       nbrev_[static_cast<std::size_t>(v) * max_deg_ + p] =
           (static_cast<std::uint32_t>(t.neighbor(v, p)) << 8) |
@@ -81,7 +78,7 @@ void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a) {
   automaton_ = a;
   delta_.assign(automaton_.delta.begin(), automaton_.delta.end());
   // Pre-reduce the action per (state, degree): lambda[s] mod d, or -1 for
-  // kStay — the steppers then index actd_ instead of dividing per step.
+  // kStay — the walk then indexes actd_ instead of dividing per step.
   const int K = automaton_.num_states();
   actd_.resize(static_cast<std::size_t>(K) * max_deg_);
   for (int s = 0; s < K; ++s) {
@@ -381,30 +378,12 @@ const CompiledConfigEngine::Orbit& CompiledConfigEngine::orbit(
 
 void CompiledConfigEngine::warm_orbits(
     std::span<const tree::NodeId> starts) const {
-  // Deduplicate and drop already-served starts; batch the rest.
-  tree::NodeId pending[kBatchWalks];
-  std::size_t filled = 0;
-  auto& seen = warm_seen_;
-  seen.assign(static_cast<std::size_t>(n_), 0);
   for (const tree::NodeId start : starts) {
     if (start < 0 || start >= n_) {
       throw std::invalid_argument("CompiledConfigEngine::warm_orbits: range");
     }
-    const std::size_t slot = static_cast<std::size_t>(start);
-    if (seen[slot]) continue;
-    seen[slot] = 1;
-    if (shared_ != nullptr && slot < shared_->has_orbit.size() &&
-        shared_->has_orbit[slot]) {
-      continue;
-    }
-    if (orbit_epoch_[slot] == epoch_) continue;
-    pending[filled++] = start;
-    if (filled == kBatchWalks) {
-      extract_orbits_batch({pending, filled});
-      filled = 0;
-    }
   }
-  if (filled > 0) extract_orbits_batch({pending, filled});
+  for (const tree::NodeId start : starts) orbit(start);
 }
 
 void CompiledConfigEngine::adopt_shared_orbits(
@@ -521,21 +500,11 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
     throw std::invalid_argument(
         "verify_never_meet_compiled: starts must differ");
   }
-  const bool same_engine = &engine_a == &engine_b;
-  if (same_engine) {
-    // Batch the two walks when both are missing; a warmed engine skips
-    // the batching machinery entirely (orbit_cached is two compares).
-    tree::NodeId both[2];
-    std::size_t missing = 0;
-    if (!engine_a.orbit_cached(cfg.start_a)) both[missing++] = cfg.start_a;
-    if (!engine_a.orbit_cached(cfg.start_b)) both[missing++] = cfg.start_b;
-    if (missing > 0) engine_a.warm_orbits({both, missing});
-  }
   const auto& A = engine_a.orbit(cfg.start_a);
   const auto& B = engine_b.orbit(cfg.start_b);
-  return detail::verify_pair_core(engine_a, A, B, same_engine, cfg.start_a,
-                                  cfg.start_b, cfg.delay_a, cfg.delay_b,
-                                  cfg.max_rounds);
+  return detail::verify_pair_core(engine_a, A, B, &engine_a == &engine_b,
+                                  cfg.start_a, cfg.start_b, cfg.delay_a,
+                                  cfg.delay_b, cfg.max_rounds);
 }
 
 GatherVerdict verify_never_gather_compiled(
@@ -565,9 +534,6 @@ GatherVerdict verify_never_gather_compiled(
           "verify_never_gather_compiled: start out of range");
     }
   }
-  // Batched warm-up through the same stepper the pair pipeline uses
-  // (duplicates and already-served starts are skipped inside).
-  engine.warm_orbits(starts);
   const CompiledConfigEngine::Orbit* orbs[kMaxGatherAgents];
   for (std::size_t i = 0; i < k; ++i) orbs[i] = &engine.orbit(starts[i]);
   const std::uint64_t zeros[kMaxGatherAgents] = {};
@@ -596,48 +562,16 @@ std::vector<Verdict> verify_grid(const CompiledConfigEngine& engine_a,
       throw std::invalid_argument("verify_grid: starts must differ");
     }
   }
-  // Warm every cache a query can touch — orbits for both endpoints (via
-  // the batched stepper) and the per-cycle collision tables of shared
-  // cycles — serially, so the queries themselves are read-only and safe to
-  // fan across workers.
+  // Warm every cache a query can touch — orbits for both endpoints and
+  // the per-cycle collision tables of shared cycles — serially, so the
+  // queries themselves are read-only and safe to fan across workers.
   const bool same_engine = &engine_a == &engine_b;
-  {
-    // Feed uncached starts straight into batch-sized buffers — no starts
-    // vector, no per-call allocation; a fully warmed engine degrades this
-    // pass to two orbit_cached compares per query.
-    tree::NodeId pa[CompiledConfigEngine::kBatchWalks];
-    tree::NodeId pb[CompiledConfigEngine::kBatchWalks];
-    std::size_t fa = 0, fb = 0;
-    for (const PairQuery& q : queries) {
-      if (!engine_a.orbit_cached(q.start_a)) {
-        pa[fa++] = q.start_a;
-        if (fa == CompiledConfigEngine::kBatchWalks) {
-          engine_a.warm_orbits({pa, fa});
-          fa = 0;
-        }
-      }
-      auto& eb = same_engine ? engine_a : engine_b;
-      auto& pend = same_engine ? pa : pb;
-      auto& fill = same_engine ? fa : fb;
-      if (!eb.orbit_cached(q.start_b)) {
-        pend[fill++] = q.start_b;
-        if (fill == CompiledConfigEngine::kBatchWalks) {
-          eb.warm_orbits({pend, fill});
-          fill = 0;
-        }
-      }
-    }
-    if (fa > 0) engine_a.warm_orbits({pa, fa});
-    if (fb > 0) engine_b.warm_orbits({pb, fb});
-  }
-  if (same_engine) {
-    for (const PairQuery& q : queries) {
-      const auto& A = engine_a.orbit(q.start_a);
-      const auto& B = engine_b.orbit(q.start_b);
-      if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
-          B.lambda <= CompiledConfigEngine::kCollisionLimit) {
-        engine_a.cycle_pair_collisions(A.cycle_root, B.cycle_root);
-      }
+  for (const PairQuery& q : queries) {
+    const auto& A = engine_a.orbit(q.start_a);
+    const auto& B = engine_b.orbit(q.start_b);
+    if (same_engine && A.lambda <= CompiledConfigEngine::kCollisionLimit &&
+        B.lambda <= CompiledConfigEngine::kCollisionLimit) {
+      engine_a.cycle_pair_collisions(A.cycle_root, B.cycle_root);
     }
   }
   if (num_threads == 1) {

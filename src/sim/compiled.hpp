@@ -21,16 +21,15 @@
 // while a whole battery of queries only ever touches the reachable orbits,
 // which are far smaller.)
 //
-// Orbits can be extracted one start at a time (orbit()) or in batches
-// (warm_orbits()): the batched stepper advances up to 8 independent walks
-// through one interleaved loop over the flattened tables — AVX2 gathers
-// when the build and CPU support them (sim/simd.hpp), a structurally
-// identical scalar lane loop otherwise — so the memory-level parallelism
-// a single serial load chain leaves on the table is filled by the other
-// walks. Batches share the stamp table, so walks merge into each other
-// mid-batch; the resolution pass reconstructs every lane's rho form
-// exactly (including mutual-merge dependency cycles), and the resulting
-// orbits are field-identical to one-at-a-time extraction.
+// Orbits are extracted one walk at a time, on first use (orbit()) or
+// ahead of a batch of queries (warm_orbits(), a loop over orbit()). Walks
+// of one binding share the stamp table, so a later walk stops where it
+// meets an earlier orbit and inherits its cycle. An 8-lane interleaved
+// stepper (with an AVX2 gather kernel) once sat beside this path; on the
+// e10:14 battery it extracted 437040 orbits in 0.058-0.069 s against
+// 0.048-0.051 s one walk at a time — its trees have at most 5 nodes, so
+// the tables sit in L1 and there is no load latency for lanes to hide —
+// and it was deleted.
 //
 // Joint two-agent verification needs no joint stepping at all: the two
 // agents evolve independently, so the joint configuration sequence observed
@@ -108,9 +107,9 @@ class CompiledConfigEngine {
     /// coordinates. Two orbits of one engine share a cycle iff their
     /// cycle_root matches; their relative phase then decides meeting
     /// existence via the per-cycle collision table. (Which start owns a
-    /// shared cycle depends on extraction order — one-at-a-time and
-    /// batched extraction may pick different roots — but root equality,
-    /// phases and collision answers are consistent within an epoch.)
+    /// shared cycle depends on extraction order — the first start whose
+    /// walk closes it — but root equality, phases and collision answers
+    /// are consistent within an epoch.)
     std::uint32_t cycle_root = 0;
     std::uint64_t cycle_phase = 0;
     /// Payload buffers: engine-local orbits own growable storage exactly
@@ -192,25 +191,10 @@ class CompiledConfigEngine {
   /// Serves from an adopted shared set when one covers `start`.
   const Orbit& orbit(tree::NodeId start) const;
 
-  /// True iff orbit(start) would be served without extraction (local
-  /// cache or adopted shared set) — the cheap guard batch warm-up loops
-  /// use to skip the batching machinery on fully warmed engines.
-  bool orbit_cached(tree::NodeId start) const {
-    const std::size_t slot = static_cast<std::size_t>(start);
-    if (shared_ != nullptr && slot < shared_->has_orbit.size() &&
-        shared_->has_orbit[slot]) {
-      return true;
-    }
-    return orbit_epoch_[slot] == epoch_;
-  }
-
-  /// Extracts every not-yet-cached orbit among `starts` (duplicates fine)
-  /// with the batched multi-walk stepper — up to 8 walks advance through
-  /// one interleaved loop (AVX2 gathers when available, scalar lanes
-  /// otherwise). Equivalent to calling orbit() per start, but fills the
-  /// memory-level parallelism a single walk's serial load chain leaves
-  /// unused. Starts already covered by an adopted shared set or the local
-  /// cache are skipped.
+  /// orbit() for every start in order (duplicates fine; starts already
+  /// served by an adopted shared set or the local cache cost a lookup).
+  /// Throws std::invalid_argument, before extracting anything, if any
+  /// start is out of range.
   void warm_orbits(std::span<const tree::NodeId> starts) const;
 
   /// Serve orbit()/cycle_pair_collisions() hits from `set` (published by
@@ -258,14 +242,9 @@ class CompiledConfigEngine {
  private:
   void bind_automaton(const TabularAutomaton& a);
   void extract_orbit(tree::NodeId start, Orbit& out) const;
-  /// Batched multi-walk extraction of the given (deduplicated, uncached)
-  /// starts; implemented in compiled_batch.cpp with scalar and AVX2 lane
-  /// steppers behind sim/simd.hpp dispatch.
-  void extract_orbits_batch(std::span<const tree::NodeId> starts) const;
   /// Splices `out` (whose own prefix of `hit_index` steps is already
   /// recorded) into completed orbit `host`, which it hit at host step
-  /// `hit_j` with entry port `seam_port` — shared by the one-walk and
-  /// batched extraction paths.
+  /// `hit_j` with entry port `seam_port`.
   void finalize_merged(Orbit& out, const Orbit& host, std::uint64_t hit_index,
                        std::uint32_t hit_j, std::int16_t seam_port) const;
   static void build_first_visit(Orbit& out, std::int32_t n);
@@ -278,12 +257,10 @@ class CompiledConfigEngine {
   // Flattened successor tables: substrate per (node, port), transitions
   // per (state, entry port, degree).
   std::vector<std::uint8_t> deg_;     ///< deg_[v]
-  std::vector<std::int32_t> deg32_;   ///< deg_[v] widened for SIMD gathers
   std::vector<std::uint32_t> nbrev_;  ///< (neighbor << 8 | rev_port) per port
   std::vector<std::int32_t> delta_;   ///< delta_[(s*(D+1) + i+1)*D + d-1]
   /// Resolved action per (state, degree): lambda[s] reduced mod d, or -1
-  /// for kStay — removes the per-step modulo from both steppers and gives
-  /// the SIMD path a division-free gather.
+  /// for kStay — removes the per-step modulo from the walk.
   std::vector<std::int32_t> actd_;
   // Orbit cache, epoch-invalidated by rebind() so slots and their node
   // vectors keep their capacity across automata.
@@ -325,7 +302,6 @@ class CompiledConfigEngine {
   mutable std::vector<std::uint32_t> cindex_epoch_;  ///< n*n, 0 = stale
   mutable std::vector<std::uint32_t> cindex_slot_;   ///< index into collision_
   mutable std::vector<std::vector<std::uint32_t>> node_positions_;  // scratch
-  mutable std::vector<std::uint8_t> warm_seen_;  // warm_orbits dedupe scratch
 
  public:
   /// Collision table of the ordered cycle pair (root_a, root_b) — both
@@ -356,8 +332,6 @@ class CompiledConfigEngine {
   /// Largest node count for which the dense cycle-pair index (n*n
   /// entries) is kept; larger substrates use a linear table scan.
   static constexpr std::int32_t kCollisionIndexMaxN = 256;
-  /// Lanes the batched stepper advances per batch.
-  static constexpr std::size_t kBatchWalks = 8;
 };
 
 /// Line-automaton convenience over CompiledConfigEngine: constructs from
@@ -395,7 +369,7 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
 /// and rounds_checked == its rounds_executed — in O(sum mu_i + lcm lambda_i)
 /// table work instead of up to max_rounds interpreted rounds, plus the
 /// never-gather certificate the reference cannot give (see GatherVerdict).
-/// Orbits are warmed through the same batched stepper and (when the engine
+/// Orbits come from the same one-walk extractor and (when the engine
 /// adopted a published set) the same cross-worker cache as the pair
 /// pipeline — orbits are per-agent, so nothing about extraction, cache
 /// keys or the claim/publish protocol is gathering-specific. Throws
@@ -416,8 +390,8 @@ struct PairQuery {
 
 /// Batched verify_never_meet_compiled over a (start-pair x delay) grid:
 /// answers[i] corresponds to queries[i]. All orbits (and the collision
-/// tables the queries can touch) are warmed up serially first (via the
-/// batched stepper), so with num_threads != 1 the per-query work is
+/// tables the queries can touch) are warmed up serially first, so with
+/// num_threads != 1 the per-query work is
 /// read-only and fans across sweep_instances workers with deterministic
 /// result ordering; num_threads == 0 uses one worker per hardware thread
 /// (RVT_SWEEP_THREADS overrides). Every query must be valid (distinct

@@ -247,9 +247,9 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
         ++stats_.cache_hits;
       }
     } else {
-      // We hold the claim: extract the whole grid's needs (orbits via the
-      // batched stepper, collision tables of the cycles any query pair
-      // can touch) and publish.
+      // We hold the claim: extract the whole grid's needs (orbits, and
+      // collision tables of the cycles any query pair can touch) and
+      // publish.
       ++stats_.cache_misses;
       try {
         if (!constructed && !bound) slot.engine->rebind(*automaton_);

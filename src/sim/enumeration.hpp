@@ -12,7 +12,7 @@
 //   bind(a)          swap the automaton in (engines rebind lazily,
 //                    keeping every buffer),
 //   verify(g)        answer grid g into a reused verdict buffer —
-//                    orbits warmed by the batched stepper, queries
+//                    orbits warmed by the one-walk extractor, queries
 //                    answered by the inlined verdict core,
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —

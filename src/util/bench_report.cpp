@@ -273,7 +273,6 @@ void add_engine_comparison(BenchReport& report, const EngineComparison& c) {
   report.metric("reference_repeats", c.reference_repeats);
   report.note("engine", c.engine);
   report.metric("threads", c.threads);
-  report.note("simd", c.simd);
   report.metric("orbit_cache_hits", static_cast<double>(c.orbit_cache_hits));
   report.metric("orbit_cache_misses",
                 static_cast<double>(c.orbit_cache_misses));

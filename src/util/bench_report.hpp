@@ -20,7 +20,6 @@
 //   compiled_repeats, reference_repeats            min-of-N settings
 //   engine                                         engine asserted on
 //   threads                                        sweep worker count
-//   simd                                           batched-stepper path
 //   orbit_cache_hits / _misses / _hit_rate         cache telemetry
 //
 // Lives in util (not bench/) so the validation rules are unit-testable
@@ -202,7 +201,6 @@ struct EngineComparison {
   int reference_repeats = 1;  ///< min-of-N repeats of the reference side
   std::string engine;         ///< engine the bench asserted on
   unsigned threads = 1;       ///< sweep worker count of the timed phase
-  std::string simd;           ///< sim::simd_path_name() at run time
   std::uint64_t orbit_cache_hits = 0;
   std::uint64_t orbit_cache_misses = 0;
 };

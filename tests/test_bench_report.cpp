@@ -86,7 +86,6 @@ TEST(BenchReport, EngineComparisonEmitsStandardizedKeys) {
   c.reference_repeats = 1;
   c.engine = "compiled";
   c.threads = 2;
-  c.simd = "avx2";
   c.orbit_cache_hits = 30;
   c.orbit_cache_misses = 10;
   add_engine_comparison(report, c);
@@ -101,7 +100,7 @@ TEST(BenchReport, EngineComparisonEmitsStandardizedKeys) {
        {"\"compiled_seconds\": 0.25", "\"reference_seconds\": 1",
         "\"speedup\": 4", "\"compiled_repeats\": 5",
         "\"reference_repeats\": 1", "\"engine\": \"compiled\"",
-        "\"threads\": 2", "\"simd\": \"avx2\"", "\"orbit_cache_hits\": 30",
+        "\"threads\": 2", "\"orbit_cache_hits\": 30",
         "\"orbit_cache_misses\": 10", "\"orbit_cache_hit_rate\": 0.75"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
   }

@@ -10,7 +10,6 @@
 #include "lowerbound/verify.hpp"
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "tree/builders.hpp"
 #include "util/rng.hpp"
@@ -441,13 +440,12 @@ TEST(CompiledConfig, RejectsSubstratesOutsideTheDegreeModel) {
   EXPECT_THROW(engine.rebind(line2), std::invalid_argument);
 }
 
-// --- Batched multi-walk extraction ------------------------------------------
+// --- Extraction order --------------------------------------------------------
 
-/// Intrinsic orbit fields must be identical however the orbit was
-/// extracted (one walk at a time, or any batch interleave). cycle_root /
-/// cycle_phase are extraction-order-dependent bookkeeping and are instead
-/// checked for consistency (root equality <=> shared cycle) plus verdict
-/// agreement below.
+/// Intrinsic orbit fields must be identical whatever order the starts were
+/// extracted in. cycle_root / cycle_phase are extraction-order-dependent
+/// bookkeeping and are instead checked for consistency (root equality <=>
+/// shared cycle) plus verdict agreement below.
 void expect_orbit_fields_equal(const CompiledConfigEngine::Orbit& got,
                                const CompiledConfigEngine::Orbit& want,
                                const std::string& context) {
@@ -459,16 +457,80 @@ void expect_orbit_fields_equal(const CompiledConfigEngine::Orbit& got,
   ASSERT_EQ(got.first_visit, want.first_visit) << context;
 }
 
-/// The batched-stepper differential battery, run on whichever SIMD path
-/// is currently enabled: random port-sensitive and port-oblivious
-/// automata on degree-3 trees and lines, all starts warmed through
-/// ragged batches (walks of different cycle lengths retiring at
-/// different times), compared field-for-field against one-walk
-/// extraction — and the verdict grids of both engines must agree on
-/// every field.
-void run_batched_extraction_differential(std::uint64_t seed) {
-  util::Rng rng(seed);
-  for (int rep = 0; rep < 25; ++rep) {
+/// Warms one engine in ascending start order and another in a shuffled
+/// order, so later walks merge into different earlier orbits (through
+/// finalize_merged) on the two sides; compares the orbits field for field,
+/// the shared-cycle structure, and the verdicts of a (pair x delay) grid.
+/// Returns how many starts ended up with different cycle roots — evidence
+/// that the two orders really took different merge paths.
+int check_extraction_order_independent(const tree::Tree& t,
+                                       const TabularAutomaton& a,
+                                       util::Rng& rng,
+                                       const std::string& context) {
+  const int n = t.node_count();
+  std::vector<tree::NodeId> ascending;
+  for (tree::NodeId s = 0; s < n; ++s) ascending.push_back(s);
+  std::vector<tree::NodeId> shuffled = ascending;
+  rng.shuffle(shuffled);
+  shuffled.push_back(shuffled.front());  // duplicate on purpose
+
+  const CompiledConfigEngine in_order(t, a);
+  in_order.warm_orbits(ascending);
+  const CompiledConfigEngine out_of_order(t, a);
+  out_of_order.warm_orbits(shuffled);
+  EXPECT_EQ(out_of_order.orbits_extracted(), static_cast<std::uint64_t>(n))
+      << context;
+
+  int roots_differ = 0;
+  for (tree::NodeId s = 0; s < n; ++s) {
+    expect_orbit_fields_equal(out_of_order.orbit(s), in_order.orbit(s),
+                              context + " start " + std::to_string(s));
+    if (out_of_order.orbit(s).cycle_root != in_order.orbit(s).cycle_root) {
+      ++roots_differ;
+    }
+  }
+  // Shared-cycle structure must agree: roots may differ, root equality
+  // must not.
+  for (tree::NodeId u = 0; u < n; ++u) {
+    for (tree::NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(
+          out_of_order.orbit(u).cycle_root == out_of_order.orbit(v).cycle_root,
+          in_order.orbit(u).cycle_root == in_order.orbit(v).cycle_root)
+          << context << " " << u << " " << v;
+    }
+  }
+
+  // Verdicts across a (pair x delay) grid must match field for field.
+  std::vector<PairQuery> queries;
+  for (tree::NodeId u = 0; u < n; ++u) {
+    for (tree::NodeId v = u + 1; v < n; ++v) {
+      for (const std::uint64_t d : {0ull, 1ull, 9ull}) {
+        queries.push_back({u, v, d, 0});
+      }
+    }
+  }
+  const auto got = verify_grid(out_of_order, out_of_order, queries, 200000, 1);
+  const auto want = verify_grid(in_order, in_order, queries, 200000, 1);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(got[i].met, want[i].met) << context << " " << i;
+    EXPECT_EQ(got[i].meeting_round, want[i].meeting_round)
+        << context << " " << i;
+    EXPECT_EQ(got[i].certified_forever, want[i].certified_forever)
+        << context << " " << i;
+    EXPECT_EQ(got[i].cycle_length, want[i].cycle_length)
+        << context << " " << i;
+    EXPECT_EQ(got[i].rounds_checked, want[i].rounds_checked)
+        << context << " " << i;
+  }
+  return roots_differ;
+}
+
+TEST(ExtractionOrder, OrbitsAndVerdictsIndependentOfExtractionOrder) {
+  // Random port-sensitive and port-oblivious automata on degree-3 trees
+  // and lines.
+  util::Rng rng(0xba7c4ull);
+  int roots_differ = 0;
+  for (int rep = 0; rep < 50; ++rep) {
     const bool line_case = rep % 2 == 0;
     const tree::Tree t =
         line_case ? random_line(3 + static_cast<int>(rng.index(10)), rng)
@@ -491,133 +553,34 @@ void run_batched_extraction_differential(std::uint64_t seed) {
         break;
     }
     if (t.max_degree() > a.max_degree) continue;  // substrate out of model
-    const int n = t.node_count();
-
-    // Batched: warm every start in one call (the engine slices it into
-    // ragged kBatchWalks-lane batches; duplicates exercise the dedupe).
-    const CompiledConfigEngine batched(t, a);
-    std::vector<tree::NodeId> starts;
-    for (tree::NodeId s = 0; s < n; ++s) starts.push_back(s);
-    starts.push_back(0);  // duplicate on purpose
-    batched.warm_orbits(starts);
-    ASSERT_EQ(batched.orbits_extracted(), static_cast<std::uint64_t>(n));
-
-    // Reference: a separate engine, one orbit at a time.
-    const CompiledConfigEngine serial(t, a);
-    for (tree::NodeId s = 0; s < n; ++s) {
-      expect_orbit_fields_equal(
-          batched.orbit(s), serial.orbit(s),
-          "rep " + std::to_string(rep) + " start " + std::to_string(s));
-    }
-    // Shared-cycle structure must agree: roots may differ, root equality
-    // must not.
-    for (tree::NodeId u = 0; u < n; ++u) {
-      for (tree::NodeId v = 0; v < n; ++v) {
-        ASSERT_EQ(
-            batched.orbit(u).cycle_root == batched.orbit(v).cycle_root,
-            serial.orbit(u).cycle_root == serial.orbit(v).cycle_root)
-            << "rep " << rep << " " << u << " " << v;
-      }
-    }
-
-    // Verdicts across a (pair x delay) grid must match field for field.
-    std::vector<PairQuery> queries;
-    for (tree::NodeId u = 0; u < n; ++u) {
-      for (tree::NodeId v = u + 1; v < n; ++v) {
-        for (const std::uint64_t d : {0ull, 1ull, 9ull}) {
-          queries.push_back({u, v, d, 0});
-        }
-      }
-    }
-    const auto from_batched =
-        verify_grid(batched, batched, queries, 200000, 1);
-    const auto from_serial = verify_grid(serial, serial, queries, 200000, 1);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(from_batched[i].met, from_serial[i].met) << rep << " " << i;
-      ASSERT_EQ(from_batched[i].meeting_round, from_serial[i].meeting_round)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].certified_forever,
-                from_serial[i].certified_forever)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].cycle_length, from_serial[i].cycle_length)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].rounds_checked, from_serial[i].rounds_checked)
-          << rep << " " << i;
-    }
+    roots_differ += check_extraction_order_independent(
+        t, a, rng, "rep " + std::to_string(rep));
   }
-}
-
-TEST(BatchedExtraction, MatchesOneWalkExtractionScalar) {
-  const bool had_simd = simd_enabled();
-  set_simd_enabled(false);
-  ASSERT_STREQ(simd_path_name(), "scalar");
-  run_batched_extraction_differential(0xba7c4ull);
-  set_simd_enabled(had_simd);
-}
-
-TEST(BatchedExtraction, MatchesOneWalkExtractionSimdWhenAvailable) {
-  // On hardware (or builds) without AVX2 this re-runs the scalar path —
-  // the differential stays meaningful either way, and the CI job with
-  // -DRVT_SIMD=OFF exercises exactly that configuration.
-  set_simd_enabled(true);
-  run_batched_extraction_differential(0x51u);
-  if (simd_available()) {
-    ASSERT_STREQ(simd_path_name(), "avx2");
-  } else {
-    ASSERT_STREQ(simd_path_name(), "scalar");
-  }
-}
-
-TEST(BatchedExtraction, SimdAndScalarPathsProduceBitIdenticalOrbits) {
-  if (!simd_available()) {
-    GTEST_SKIP() << "AVX2 unavailable (build or CPU): scalar-only";
-  }
-  util::Rng rng(77001);
-  for (int rep = 0; rep < 10; ++rep) {
-    const tree::Tree t = random_degree3_tree(rng);
-    const auto a =
-        random_tree_automaton(1 + static_cast<int>(rng.index(5)), rng)
-            .tabular();
-    std::vector<tree::NodeId> starts;
-    for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-
-    set_simd_enabled(false);
-    const CompiledConfigEngine scalar(t, a);
-    scalar.warm_orbits(starts);
-    set_simd_enabled(true);
-    const CompiledConfigEngine simd(t, a);
-    simd.warm_orbits(starts);
-
-    for (tree::NodeId s = 0; s < t.node_count(); ++s) {
-      const auto& lhs = simd.orbit(s);
-      const auto& rhs = scalar.orbit(s);
-      expect_orbit_fields_equal(lhs, rhs, "rep " + std::to_string(rep));
-      // The two paths stamp in the same lane order, so even the
-      // extraction-order-dependent fields must agree bit for bit.
-      ASSERT_EQ(lhs.cycle_root, rhs.cycle_root) << rep << " " << s;
-      ASSERT_EQ(lhs.cycle_phase, rhs.cycle_phase) << rep << " " << s;
-    }
-  }
-}
-
-TEST(BatchedExtraction, RaggedBatchesRetireIndependently) {
   // A line under a ping-pong walker: orbits from the two halves have
-  // different tails/cycle entries, so an 8-lane batch retires lanes at
-  // different steps; extraction must still match one-walk exactly.
-  const tree::Tree t = tree::line_symmetric_colored(15);
-  const auto a = ping_pong_walker(2).tabular();
-  const CompiledConfigEngine batched(t, a);
-  std::vector<tree::NodeId> starts;
-  for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-  batched.warm_orbits(starts);
-  const CompiledConfigEngine serial(t, a);
-  for (tree::NodeId s = 0; s < t.node_count(); ++s) {
-    expect_orbit_fields_equal(batched.orbit(s), serial.orbit(s),
-                              "start " + std::to_string(s));
-  }
+  // different tails and cycle entries.
+  roots_differ += check_extraction_order_independent(
+      tree::line_symmetric_colored(15), ping_pong_walker(2).tabular(), rng,
+      "ping-pong");
+  EXPECT_GT(roots_differ, 0) << "no input took a different merge path";
 }
 
-// --- Batched verdict grids --------------------------------------------------
+TEST(ExtractionOrder, WarmOrbitsRejectsOutOfRangeStartsBeforeExtracting) {
+  const tree::Tree t = tree::line(6);
+  const CompiledConfigEngine engine(t, ping_pong_walker(2).tabular());
+  const int n = t.node_count();
+  std::vector<tree::NodeId> starts;
+  for (tree::NodeId s = 0; s < n; ++s) starts.push_back(s);
+  for (const tree::NodeId bad : {tree::NodeId{-1}, tree::NodeId{n}}) {
+    std::vector<tree::NodeId> with_bad = starts;
+    with_bad.push_back(bad);
+    EXPECT_THROW(engine.warm_orbits(with_bad), std::invalid_argument) << bad;
+    EXPECT_EQ(engine.orbits_extracted(), 0u) << bad;
+  }
+  engine.warm_orbits(starts);
+  EXPECT_EQ(engine.orbits_extracted(), static_cast<std::uint64_t>(n));
+}
+
+// --- Verdict grids ----------------------------------------------------------
 
 TEST(VerifyGrid, MatchesPerQueryVerdictsAndIsDeterministic) {
   util::Rng rng(314);
