@@ -38,10 +38,11 @@ Outcome run_family(const tree::Tree& t, util::Rng& rng, int samples,
                    std::uint64_t horizon) {
   Outcome out;
   const tree::NodeId n = t.node_count();
+  const tree::PerfectSymmetrizability symmetrizable(t);
   for (int s = 0; s < samples * 4 && out.pairs < samples; ++s) {
     const tree::NodeId u = static_cast<tree::NodeId>(rng.index(n));
     const tree::NodeId v = static_cast<tree::NodeId>(rng.index(n));
-    if (u == v || tree::perfectly_symmetrizable(t, u, v)) continue;
+    if (u == v || symmetrizable(u, v)) continue;
     ++out.pairs;
     core::RendezvousAgent a(t, u), b(t, v);
     const auto r = sim::run_rendezvous(t, a, b, {u, v, 0, 0, horizon});

@@ -35,7 +35,8 @@ int main() {
       const tree::Tree s2 = tree::side_tree(i, m2);
       const auto ts = tree::two_sided_tree(s1, s2, 2);
       const tree::Tree& t = ts.tree;
-      const auto cs = tree::central_split(t);
+      const tree::PerfectSymmetrizability symmetrizable(t);
+      const auto& cs = symmetrizable.split();
       if (!cs) continue;
 
       int eq_pairs = 0, full_met = 0, ablated_failed = 0, contrast = 0;
@@ -44,7 +45,7 @@ int main() {
         if (iu.kind != core::TreeKind::kCentralEdgeSymmetric) break;
         for (tree::NodeId v = 0; v < t.node_count(); ++v) {
           if (u >= v) continue;
-          if (tree::perfectly_symmetrizable(t, u, v)) continue;
+          if (symmetrizable(u, v)) continue;
           const core::ExploInfo iv = core::explo(t, v);
           if (iu.v_hat == iv.v_hat) continue;
           if (cs->in_x_half[iu.v_hat] == cs->in_x_half[iv.v_hat]) continue;

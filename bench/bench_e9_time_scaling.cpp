@@ -35,12 +35,13 @@ int main() {
                    int samples) {
     int pairs = 0, met = 0;
     std::uint64_t worst = 0, worst_i = 0;
+    const tree::PerfectSymmetrizability symmetrizable(t);
     for (int rep = 0; rep < samples * 4 && pairs < samples; ++rep) {
       const tree::NodeId u =
           static_cast<tree::NodeId>(rng.index(t.node_count()));
       const tree::NodeId v =
           static_cast<tree::NodeId>(rng.index(t.node_count()));
-      if (u == v || tree::perfectly_symmetrizable(t, u, v)) continue;
+      if (u == v || symmetrizable(u, v)) continue;
       ++pairs;
       core::RendezvousAgent a(t, u), b(t, v);
       const auto r =

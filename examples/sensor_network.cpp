@@ -50,12 +50,13 @@ int main() {
       const tree::Tree t = corridor(spine, clusters, rng);
       int met = 0, tried = 0;
       std::uint64_t worst_rounds = 0, bits = 0;
+      const tree::PerfectSymmetrizability symmetrizable(t);
       for (int rep = 0; rep < 6; ++rep) {
         const tree::NodeId u =
             static_cast<tree::NodeId>(rng.index(t.node_count()));
         const tree::NodeId v =
             static_cast<tree::NodeId>(rng.index(t.node_count()));
-        if (u == v || tree::perfectly_symmetrizable(t, u, v)) continue;
+        if (u == v || symmetrizable(u, v)) continue;
         ++tried;
         core::RendezvousAgent a(t, u), b(t, v);
         const auto r =

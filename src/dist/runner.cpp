@@ -23,22 +23,15 @@ void emit_progress(std::size_t shard_index, std::uint64_t committed,
                d.delay_quantile_ms(0.50), d.delay_quantile_ms(0.99));
 }
 
-}  // namespace
-
-ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
-                        std::size_t shard_index,
-                        const std::string& journal_dir,
-                        sim::OrbitCache* cache,
-                        const ShardRunOptions& options) {
-  if (shard_index >= plan.shards.size()) {
-    throw std::invalid_argument("run_shard: shard index out of range");
-  }
-  if (!(plan.fingerprint == workload_fingerprint(w))) {
-    throw std::invalid_argument(
-        "run_shard: plan fingerprint does not match the workload (different "
-        "battery, spec, or code schema version)");
-  }
-  const ShardSpec& spec = plan.shards[shard_index];
+/// Opens `spec`'s journal under `journal_dir` for appending: resumes a
+/// valid prefix of this shard's journal and starts over on anything
+/// else. Returns nullopt, with the sealed sum in `stats`, when the shard
+/// is already complete.
+std::optional<JournalWriter> open_journal(const std::string& journal_dir,
+                                          const ShardPlan& plan,
+                                          const ShardSpec& spec,
+                                          ShardRunStats& stats) {
+  RVT_OBS_SPAN("dist.journal.open");
   std::error_code ec;
   std::filesystem::create_directories(journal_dir, ec);
   if (ec) {
@@ -52,7 +45,6 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
   header.begin = spec.begin;
   header.end = spec.end;
 
-  ShardRunStats stats;
   std::optional<JournalState> state;
   try {
     state = read_journal(path);
@@ -73,12 +65,33 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
     stats.already_complete = true;
     stats.committed_before = spec.end - spec.begin;
     stats.sum = state->sum;
-    return stats;
+    return std::nullopt;
   }
+  return state.has_value() ? JournalWriter::resume(path, header, *state)
+                           : JournalWriter::create(path, header);
+}
 
-  JournalWriter writer =
-      state.has_value() ? JournalWriter::resume(path, header, *state)
-                        : JournalWriter::create(path, header);
+}  // namespace
+
+ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
+                        std::size_t shard_index,
+                        const std::string& journal_dir,
+                        sim::OrbitCache* cache,
+                        const ShardRunOptions& options) {
+  if (shard_index >= plan.shards.size()) {
+    throw std::invalid_argument("run_shard: shard index out of range");
+  }
+  if (!(plan.fingerprint == workload_fingerprint(w))) {
+    throw std::invalid_argument(
+        "run_shard: plan fingerprint does not match the workload (different "
+        "battery, spec, or code schema version)");
+  }
+  const ShardSpec& spec = plan.shards[shard_index];
+  ShardRunStats stats;
+  std::optional<JournalWriter> opened =
+      open_journal(journal_dir, plan, spec, stats);
+  if (!opened) return stats;
+  JournalWriter& writer = *opened;
   stats.committed_before = writer.next_index() - spec.begin;
 
   sim::EnumerationContext ctx(w.grids(), w.max_rounds(), cache);
@@ -90,7 +103,7 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
   std::uint64_t next_progress_ns =
       progress_interval_ns == 0 ? UINT64_MAX
                                 : delay.start_ns() + progress_interval_ns;
-  for (std::uint64_t i = writer.next_index(); i < spec.end; ++i) {
+  const auto step = [&](std::uint64_t i) {
     const std::uint64_t v = w.defeats(ctx, i);
     writer.record(i, v);
     delay.note_result(v);
@@ -99,7 +112,14 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
       emit_progress(shard_index, (i + 1) - spec.begin, delay.stats());
       next_progress_ns = obs::now_ns() + progress_interval_ns;
     }
+  };
+  std::uint64_t i = writer.next_index();
+  if (i < spec.end) {
+    // Time to first result ends here: the first record is written.
+    RVT_OBS_SPAN("dist.run_shard.first_index", i);
+    step(i++);
   }
+  for (; i < spec.end; ++i) step(i);
   writer.finish(writer.sum());
   stats.sum = writer.sum();
   stats.telemetry = ctx.telemetry();

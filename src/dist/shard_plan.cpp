@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace rvt::dist {
 
 namespace {
@@ -38,6 +40,7 @@ ShardId derive_shard_id(const ShardId& fingerprint, std::uint64_t begin,
 std::string shard_id_hex(const ShardId& id) { return hex128(id.hi, id.lo); }
 
 ShardId workload_fingerprint(const EnumWorkload& w) {
+  RVT_OBS_SPAN("dist.shard_plan.fingerprint");
   Hash2 h;
   h.feed(kWireVersion);  // the code schema: bump invalidates every plan
   h.feed_str(w.spec());
@@ -147,6 +150,7 @@ void write_plan(const std::string& path, const ShardPlan& plan) {
 }
 
 ShardPlan load_plan(const std::string& path) {
+  RVT_OBS_SPAN("dist.shard_plan.load");
   const auto bytes = read_file(path);
   if (!bytes.has_value()) {
     throw SerializeError("shard plan: cannot read " + path);

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "tree/builders.hpp"
 #include "tree/canonical.hpp"
 
@@ -20,9 +21,10 @@ std::vector<BatteryTree> make_line_battery(int max_n) {
     for (auto& t : labelings) {
       BatteryTree bt;
       bt.t = std::move(t);
+      const tree::PerfectSymmetrizability symmetrizable(bt.t);
       for (tree::NodeId u = 0; u < n; ++u) {
         for (tree::NodeId v = u + 1; v < n; ++v) {
-          if (tree::perfectly_symmetrizable(bt.t, u, v)) continue;
+          if (symmetrizable(u, v)) continue;
           bt.pairs.emplace_back(u, v);
         }
       }
@@ -102,6 +104,7 @@ std::vector<std::pair<int, std::uint64_t>> make_profile_sample() {
 }
 
 std::unique_ptr<EnumWorkload> EnumWorkload::parse(const std::string& spec) {
+  RVT_OBS_SPAN("dist.workload.parse");
   int max_n = 14;  // the committed BENCH_E10.json battery
   if (spec != "e10") {
     if (spec.rfind("e10:", 0) != 0) {

@@ -146,6 +146,7 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   // backoff: a worker started before its coordinator simply waits for
   // it, identically to a worker whose coordinator is restarting.
   const auto connect = [&]() {
+    RVT_OBS_SPAN("svc.worker.hello", rep.reconnects);
     util::RetryStats stats;
     std::unique_ptr<net::TcpStream> s;
     const bool ok = util::retry_bool(opt.reconnect, &stats, [&] {
@@ -258,10 +259,12 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
         }
       }
       if (!lease) {
-        const net::Frame gf =
-            round_trip(*stream, dist::WireKind::kLeaseRequest,
-                       encode_lease_request(), dist::WireKind::kLeaseGrant);
-        const LeaseGrant g = decode_lease_grant(gf.payload);
+        const LeaseGrant g = [&] {
+          RVT_OBS_SPAN("svc.worker.lease", rep.leases);
+          return decode_lease_grant(round_trip(
+              *stream, dist::WireKind::kLeaseRequest, encode_lease_request(),
+              dist::WireKind::kLeaseGrant).payload);
+        }();
         if (g.status == LeaseStatus::kDrained) {
           drained = true;
         } else if (g.status == LeaseStatus::kGranted) {

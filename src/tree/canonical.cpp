@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "tree/center.hpp"
 
@@ -11,6 +12,7 @@ namespace rvt::tree {
 namespace {
 constexpr std::int64_t kTagTopo = 0;
 constexpr std::int64_t kTagPort = 1;
+constexpr std::int64_t kTagMarked = 2;
 }  // namespace
 
 int Canonizer::intern(std::vector<std::int64_t> key) {
@@ -21,6 +23,11 @@ int Canonizer::intern(std::vector<std::int64_t> key) {
 
 int Canonizer::topo_id(const Tree& t, NodeId root, NodeId parent,
                        NodeId marked) {
+  return topo_ids(t, root, parent, marked, nullptr);
+}
+
+int Canonizer::topo_ids(const Tree& t, NodeId root, NodeId parent,
+                        NodeId marked, std::vector<int>* ids) {
   // Iterative post-order; recursion would overflow on long paths.
   struct Frame {
     NodeId node;
@@ -51,6 +58,7 @@ int Canonizer::topo_id(const Tree& t, NodeId root, NodeId parent,
     key.push_back(f.node == marked ? 1 : 0);
     for (int id : f.child_ids) key.push_back(id);
     const int id = intern(std::move(key));
+    if (ids != nullptr) (*ids)[f.node] = id;
     stack.pop_back();
     if (stack.empty()) {
       result = id;
@@ -59,6 +67,30 @@ int Canonizer::topo_id(const Tree& t, NodeId root, NodeId parent,
     }
   }
   return result;
+}
+
+void Canonizer::marked_ids(const Tree& t, NodeId root, NodeId parent,
+                           std::vector<int>& out) {
+  // A root- and mark-preserving isomorphism maps the root-to-mark path
+  // onto the root-to-mark path level by level, so one exists iff both
+  // paths carry the same sequence of unmarked subtree ids (given equal
+  // ids at each level, an isomorphism can pair the path child with the
+  // path child and the remaining children by id). Interning that
+  // sequence one edge at a time, parent first, names it in O(1) keys.
+  std::vector<int> sub(t.node_count(), -1);
+  topo_ids(t, root, parent, -1, &sub);
+  out[root] = intern({kTagMarked, -1, sub[root]});
+  std::vector<std::pair<NodeId, NodeId>> stack{{root, parent}};
+  while (!stack.empty()) {
+    const auto [v, from] = stack.back();
+    stack.pop_back();
+    for (Port p = 0; p < t.degree(v); ++p) {
+      const NodeId c = t.neighbor(v, p);
+      if (c == from) continue;
+      out[c] = intern({kTagMarked, out[v], sub[c]});
+      stack.emplace_back(c, v);
+    }
+  }
 }
 
 int Canonizer::port_id(const Tree& t, NodeId root, Port parent_port,
@@ -179,20 +211,26 @@ bool symmetric_positions(const Tree& t, NodeId u, NodeId v) {
   return f && (*f)[u] == v;
 }
 
-bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v) {
+PerfectSymmetrizability::PerfectSymmetrizability(const Tree& t)
+    : split_(central_split(t)) {
+  if (!split_) return;  // central node: every automorphism would fix it
+  Canonizer cz;
+  marked_id_.assign(t.node_count(), -1);
+  cz.marked_ids(t, split_->x, split_->y, marked_id_);
+  cz.marked_ids(t, split_->y, split_->x, marked_id_);
+}
+
+bool PerfectSymmetrizability::operator()(NodeId u, NodeId v) const {
   if (u == v) {
     throw std::invalid_argument(
         "perfectly_symmetrizable: initial positions must differ");
   }
-  const auto cs = central_split(t);
-  if (!cs) return false;  // central node: every automorphism would fix it
-  if (cs->in_x_half[u] == cs->in_x_half[v]) return false;
-  NodeId a = u, b = v;
-  if (!cs->in_x_half[a]) std::swap(a, b);  // a in x's half, b in y's
-  Canonizer cz;
-  const int ida = cz.topo_id(t, cs->x, cs->y, a);
-  const int idb = cz.topo_id(t, cs->y, cs->x, b);
-  return ida == idb;
+  return split_ && split_->in_x_half[u] != split_->in_x_half[v] &&
+         marked_id_[u] == marked_id_[v];
+}
+
+bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v) {
+  return PerfectSymmetrizability(t)(u, v);
 }
 
 namespace {

@@ -22,7 +22,9 @@
 // Likewise, u != v are perfectly symmetrizable iff T has a central edge,
 // u and v lie in different halves, and some (port-oblivious) isomorphism
 // between the halves maps u to v — which a marked AHU canonical code
-// detects.
+// detects. PerfectSymmetrizability decides that once per tree: one
+// central split and one Canonizer give every node the marked id of its
+// half, after which each pair is two lookups.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +54,17 @@ class Canonizer {
   int port_id(const Tree& t, NodeId root, Port parent_port,
               NodeId marked = -1);
 
+  /// Marked ids of every node at once: for each node m of the subtree
+  /// rooted at `root` hanging away from `parent`, sets out[m] (out is
+  /// indexed by node id) so that, within one Canonizer, two such ids are
+  /// equal <=> the topo_id of their subtrees marked at them are equal.
+  /// Linearithmic in the subtree, where n topo_id calls are quadratic.
+  void marked_ids(const Tree& t, NodeId root, NodeId parent,
+                  std::vector<int>& out);
+
  private:
+  int topo_ids(const Tree& t, NodeId root, NodeId parent, NodeId marked,
+               std::vector<int>* ids);
   int intern(std::vector<std::int64_t> key);
   std::map<std::vector<std::int64_t>, int> table_;
   int next_ = 0;
@@ -80,8 +92,28 @@ bool tree_symmetric(const Tree& t);
 /// u == v returns true (identity).
 bool symmetric_positions(const Tree& t, NodeId u, NodeId v);
 
-/// Definition 1.2. Requires u != v (throws std::invalid_argument
-/// otherwise: co-located agents have trivially met).
+/// Definition 1.2 decided for every pair of one tree: built once per tree
+/// (one central split, one Canonizer, a marked id per node), then each
+/// query is true iff u and v lie in opposite halves with equal ids. Use
+/// it wherever many pairs of one tree are tested.
+class PerfectSymmetrizability {
+ public:
+  explicit PerfectSymmetrizability(const Tree& t);
+
+  /// Requires u != v (throws std::invalid_argument otherwise:
+  /// co-located agents have trivially met).
+  bool operator()(NodeId u, NodeId v) const;
+
+  /// The tree's central split; empty when it has a central node (then
+  /// no pair is symmetrizable).
+  const std::optional<CentralSplit>& split() const { return split_; }
+
+ private:
+  std::optional<CentralSplit> split_;
+  std::vector<int> marked_id_;  ///< node -> its half's id marked at it
+};
+
+/// Definition 1.2 for one pair: PerfectSymmetrizability(t)(u, v).
 bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v);
 
 /// All automorphisms (port-oblivious) of T as node maps, by brute force.

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "symmetrizable_reference.hpp"
 #include "tree/builders.hpp"
 #include "tree/canonical.hpp"
 #include "tree/tree.hpp"
@@ -189,12 +190,97 @@ TEST(Symmetrizable, MatchesBruteForceOnSmallTrees) {
   }
   for (const auto& t : cases) {
     if (t.node_count() > 8) continue;
+    const PerfectSymmetrizability symmetrizable(t);
     for (NodeId u = 0; u < t.node_count(); ++u) {
       for (NodeId v = 0; v < t.node_count(); ++v) {
         if (u == v) continue;
-        EXPECT_EQ(perfectly_symmetrizable(t, u, v),
-                  brute_perfectly_symmetrizable(t, u, v))
+        const bool brute = brute_perfectly_symmetrizable(t, u, v);
+        EXPECT_EQ(symmetrizable(u, v), brute)
             << t.to_string() << " u=" << u << " v=" << v;
+        EXPECT_EQ(perfectly_symmetrizable(t, u, v), brute)
+            << t.to_string() << " u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+/// Every ordered pair of t decided by the per-tree form equals the
+/// per-pair reference; returns how many pairs were symmetrizable.
+int expect_matches_per_pair(const Tree& t) {
+  const PerfectSymmetrizability symmetrizable(t);
+  EXPECT_EQ(symmetrizable.split().has_value(), central_split(t).has_value());
+  int yes = 0;
+  for (NodeId u = 0; u < t.node_count(); ++u) {
+    for (NodeId v = 0; v < t.node_count(); ++v) {
+      if (u == v) continue;
+      const bool want = reference::per_pair_symmetrizable(t, u, v);
+      EXPECT_EQ(symmetrizable(u, v), want)
+          << t.to_string() << " u=" << u << " v=" << v;
+      yes += want ? 1 : 0;
+    }
+  }
+  return yes;
+}
+
+TEST(Symmetrizable, PerTreeMatchesPerPairOnLines) {
+  for (NodeId n = 2; n <= 20; ++n) {
+    const int yes = expect_matches_per_pair(line(n));
+    // Even lines: exactly the n mirrored ordered pairs; odd: none.
+    EXPECT_EQ(yes, n % 2 == 0 ? n : 0) << n;
+    expect_matches_per_pair(line_edge_colored(n, 0));
+    if (n % 2 == 0) expect_matches_per_pair(line_symmetric_colored(n - 1));
+  }
+}
+
+TEST(Symmetrizable, PerTreeMatchesPerPairOnCentralNodeTrees) {
+  for (const Tree& t : {star(4), spider(3, 2), spider(4, 3),
+                        complete_binary(3), complete_kary(3, 2), line(9)}) {
+    ASSERT_FALSE(central_split(t).has_value()) << t.to_string();
+    EXPECT_EQ(expect_matches_per_pair(t), 0) << t.to_string();
+  }
+}
+
+TEST(Symmetrizable, PerTreeMatchesPerPairAcrossHalves) {
+  // Non-isomorphic halves, and the two-sided tree over two different
+  // side trees: no pair is symmetrizable.
+  const Tree broom23 = double_broom(3, 2, 3);
+  ASSERT_TRUE(central_split(broom23).has_value());
+  EXPECT_EQ(expect_matches_per_pair(broom23), 0);
+  const Tree s1 = side_tree(4, 0b011);
+  const Tree s2 = side_tree(4, 0b110);
+  EXPECT_EQ(expect_matches_per_pair(two_sided_tree(s1, s2, 2).tree), 0);
+  // Isomorphic halves, under the built and under shuffled port labels.
+  util::Rng rng(41);
+  const auto sym = two_sided_tree(s1, s1, 2);
+  EXPECT_GT(expect_matches_per_pair(sym.tree), 0);
+  EXPECT_GT(expect_matches_per_pair(randomize_ports(sym.tree, rng)), 0);
+  EXPECT_GT(expect_matches_per_pair(double_broom(3, 3, 3)), 0);
+  // Random trees, most with central nodes, some with central edges.
+  for (int rep = 0; rep < 40; ++rep) {
+    expect_matches_per_pair(
+        random_attachment(static_cast<NodeId>(6 + rng.index(20)), rng));
+  }
+}
+
+TEST(Canonizer, MarkedIdsAgreeWithMarkedTopoIds) {
+  util::Rng rng(13);
+  for (int rep = 0; rep < 12; ++rep) {
+    const Tree a = random_attachment(static_cast<NodeId>(3 + rng.index(9)),
+                                     rng);
+    // Half the time a relabeled copy: isomorphic, so ids must cross over.
+    const Tree b = rep % 2 == 0
+                       ? randomize_ports(a, rng)
+                       : random_attachment(a.node_count(), rng);
+    Canonizer cz;
+    std::vector<int> ma(a.node_count()), mb(b.node_count());
+    cz.marked_ids(a, 0, -1, ma);
+    cz.marked_ids(b, 0, -1, mb);
+    for (NodeId m = 0; m < a.node_count(); ++m) {
+      for (NodeId k = 0; k < b.node_count(); ++k) {
+        EXPECT_EQ(ma[m] == mb[k],
+                  cz.topo_id(a, 0, -1, m) == cz.topo_id(b, 0, -1, k))
+            << a.to_string() << " m=" << m << " / " << b.to_string()
+            << " k=" << k;
       }
     }
   }
@@ -222,8 +308,9 @@ TEST(Symmetrizable, KnownCases) {
   const Tree cb = complete_binary(2);
   EXPECT_FALSE(perfectly_symmetrizable(cb, 3, 4));  // sibling leaves
 
-  // Identity positions are rejected.
+  // Identity positions are rejected, by both forms.
   EXPECT_THROW(perfectly_symmetrizable(l6, 2, 2), std::invalid_argument);
+  EXPECT_THROW(PerfectSymmetrizability{l7}(3, 3), std::invalid_argument);
 }
 
 TEST(Symmetrizable, TwoSidedTrees) {

@@ -14,6 +14,8 @@
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
 #include "sim/orbit_cache.hpp"
+#include "symmetrizable_reference.hpp"
+#include "tree/builders.hpp"
 
 namespace rvt {
 namespace {
@@ -379,6 +381,55 @@ TEST_F(DistTest, WorkloadSpecParsing) {
   EXPECT_THROW(dist::EnumWorkload::parse("e10:2"), std::invalid_argument);
   EXPECT_THROW(dist::EnumWorkload::parse("e10:abc"), std::invalid_argument);
   EXPECT_THROW(dist::EnumWorkload::parse("e10:7x"), std::invalid_argument);
+}
+
+/// The E10 battery rebuilt one pair at a time with the per-pair
+/// symmetrizability reference: the labelings make_line_battery
+/// documents, every pair u < v that is not perfectly symmetrizable,
+/// trees left with no pair dropped.
+std::vector<dist::BatteryTree> per_pair_battery(int max_n) {
+  std::vector<dist::BatteryTree> out;
+  for (int n = 3; n <= max_n; ++n) {
+    std::vector<tree::Tree> labelings;
+    labelings.push_back(tree::line(n));
+    labelings.push_back(tree::line_edge_colored(n, 0));
+    labelings.push_back(tree::line_edge_colored(n, 1));
+    if (n % 2 == 0) labelings.push_back(tree::line_symmetric_colored(n - 1));
+    for (auto& t : labelings) {
+      dist::BatteryTree bt;
+      bt.t = std::move(t);
+      for (tree::NodeId u = 0; u < n; ++u) {
+        for (tree::NodeId v = u + 1; v < n; ++v) {
+          if (!tree::reference::per_pair_symmetrizable(bt.t, u, v)) {
+            bt.pairs.emplace_back(u, v);
+          }
+        }
+      }
+      if (!bt.pairs.empty()) out.push_back(std::move(bt));
+    }
+  }
+  return out;
+}
+
+TEST(Battery, E10At14IsPinned) {
+  // 1613 pairs over 42 labeled lines; the 108 mirrored pairs of the
+  // even lines are perfectly symmetrizable.
+  const auto battery = dist::make_line_battery(14);
+  EXPECT_EQ(battery.size(), 42u);
+  EXPECT_EQ(dist::battery_instances(battery), 1505u);
+}
+
+TEST(Battery, PairsMatchPerPairReference) {
+  for (int max_n = 3; max_n <= 20; ++max_n) {
+    const auto got = dist::make_line_battery(max_n);
+    const auto want = per_pair_battery(max_n);
+    ASSERT_EQ(got.size(), want.size()) << max_n;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].t.to_string(), want[i].t.to_string())
+          << max_n << " tree " << i;
+      EXPECT_EQ(got[i].pairs, want[i].pairs) << max_n << " tree " << i;
+    }
+  }
 }
 
 }  // namespace
