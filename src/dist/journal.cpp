@@ -1,67 +1,18 @@
 #include "dist/journal.hpp"
 
-#include <cstring>
-#include <filesystem>
-
-#include "util/failpoint.hpp"
-
 namespace rvt::dist {
 
 namespace {
 
-constexpr std::uint32_t kRecordMagic = 0x52565452;  // "RVTR"
+constexpr LogFormat kJournalLog{"journal", WireKind::kJournal,
+                                0x52565452 /* "RVTR" */, /*durable=*/false};
 constexpr std::uint32_t kTypeResult = 1;
 constexpr std::uint32_t kTypeDone = 2;
 
-/// 64-byte preamble; raw-copied (padding-free, little-endian host
-/// asserted in serialize.cpp).
-struct Preamble {
-  std::uint32_t magic = kWireMagic;
-  std::uint16_t version = kWireVersion;
-  std::uint16_t kind = static_cast<std::uint16_t>(WireKind::kJournal);
-  std::uint64_t shard_hi = 0, shard_lo = 0;
-  std::uint64_t fp_hi = 0, fp_lo = 0;
-  std::uint64_t begin = 0, end = 0;
-  std::uint64_t checksum = 0;  ///< fnv1a64 over the preceding 56 bytes
-};
-static_assert(sizeof(Preamble) == 64);
-
-/// 32-byte record; checksum covers the preceding 24 bytes.
-struct Record {
-  std::uint32_t magic = kRecordMagic;
-  std::uint32_t type = 0;
-  std::uint64_t index = 0;
-  std::uint64_t value = 0;
-  std::uint64_t checksum = 0;
-};
-static_assert(sizeof(Record) == 32);
-
-std::uint64_t preamble_checksum(const Preamble& p) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(&p),
-                  sizeof(Preamble) - sizeof(std::uint64_t)});
-}
-
-std::uint64_t record_checksum(const Record& r) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(&r),
-                  sizeof(Record) - sizeof(std::uint64_t)});
-}
-
-Preamble make_preamble(const JournalHeader& h) {
-  Preamble p;
-  p.shard_hi = h.shard_id.hi;
-  p.shard_lo = h.shard_id.lo;
-  p.fp_hi = h.fingerprint.hi;
-  p.fp_lo = h.fingerprint.lo;
-  p.begin = h.begin;
-  p.end = h.end;
-  p.checksum = preamble_checksum(p);
-  return p;
-}
-
 }  // namespace
 
-void JournalWriter::FileCloser::operator()(std::FILE* f) const {
-  if (f != nullptr) std::fclose(f);
+JournalHeader journal_header(const ShardPlan& plan, const ShardSpec& spec) {
+  return {spec.id, plan.fingerprint, spec.begin, spec.end};
 }
 
 std::string journal_path(const std::string& dir, const ShardSpec& spec) {
@@ -69,77 +20,60 @@ std::string journal_path(const std::string& dir, const ShardSpec& spec) {
 }
 
 std::optional<JournalState> read_journal(const std::string& path) {
-  const auto bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  if (bytes->size() < sizeof(Preamble)) {
-    throw SerializeError("journal: file shorter than preamble");
-  }
-  Preamble p;
-  std::memcpy(&p, bytes->data(), sizeof(p));
-  if (p.magic != kWireMagic ||
-      p.kind != static_cast<std::uint16_t>(WireKind::kJournal)) {
-    throw SerializeError("journal: bad preamble magic/kind");
-  }
-  if (p.version != kWireVersion) {
-    throw SerializeError("journal: format version " +
-                         std::to_string(p.version) + " (this build speaks " +
-                         std::to_string(kWireVersion) + ")");
-  }
-  if (p.checksum != preamble_checksum(p) || p.end < p.begin) {
+  const std::optional<LogScan> scan = scan_log(path, kJournalLog);
+  if (!scan.has_value()) return std::nullopt;
+  const LogBody& b = scan->body;
+  JournalState st;
+  st.header = {{b[0], b[1]}, {b[2], b[3]}, b[4], b[5]};
+  if (st.header.end < st.header.begin) {
     throw SerializeError("journal: corrupt preamble");
   }
-  JournalState st;
-  st.header.shard_id = {p.shard_hi, p.shard_lo};
-  st.header.fingerprint = {p.fp_hi, p.fp_lo};
-  st.header.begin = p.begin;
-  st.header.end = p.end;
-  st.next_index = p.begin;
-  st.valid_bytes = sizeof(Preamble);
-  // Forward scan: the valid prefix ends at the first torn, corrupt,
-  // out-of-order or post-DONE record.
-  std::size_t pos = sizeof(Preamble);
-  while (bytes->size() - pos >= sizeof(Record)) {
-    Record r;
-    std::memcpy(&r, bytes->data() + pos, sizeof(r));
-    if (r.magic != kRecordMagic || r.checksum != record_checksum(r)) break;
+  st.next_index = st.header.begin;
+  // The valid prefix also ends at the first out-of-order or post-DONE
+  // record, and at a DONE whose aggregate disagrees with the records it
+  // seals — that is damage, not truth.
+  std::size_t kept = 0;
+  for (const LogRecord& r : scan->records) {
     if (r.type == kTypeResult) {
-      if (r.index != st.next_index || r.index >= p.end) break;
-      st.sum += r.value;
+      if (r.a != st.next_index || r.a >= st.header.end) break;
+      st.sum += r.b;
       ++st.next_index;
     } else if (r.type == kTypeDone) {
-      // The seal must agree with the records it seals — a DONE whose
-      // aggregate disagrees is treated as damage, not as truth.
-      if (r.index != p.end || st.next_index != p.end || r.value != st.sum) {
+      if (r.a != st.header.end || st.next_index != st.header.end ||
+          r.b != st.sum) {
         break;
       }
       st.complete = true;
-      st.valid_bytes = pos + sizeof(Record);
+      ++kept;
       break;
     } else {
       break;
     }
-    pos += sizeof(Record);
-    st.valid_bytes = pos;
+    ++kept;
   }
+  st.valid_bytes = log_bytes(kept);
   return st;
+}
+
+std::optional<JournalState> read_bound_journal(const std::string& path,
+                                               const JournalHeader& header) {
+  std::optional<JournalState> state;
+  try {
+    state = read_journal(path);
+  } catch (const SerializeError&) {
+    return std::nullopt;
+  }
+  if (state.has_value() && state->header != header) return std::nullopt;
+  return state;
 }
 
 JournalWriter JournalWriter::create(const std::string& path,
                                     const JournalHeader& header) {
-  JournalWriter w;
-  w.path_ = path;
-  w.header_ = header;
-  w.next_ = header.begin;
-  w.file_.reset(std::fopen(path.c_str(), "wb"));
-  if (w.file_ == nullptr) {
-    throw SerializeError("journal: cannot create " + path);
-  }
-  const Preamble p = make_preamble(header);
-  if (std::fwrite(&p, sizeof(p), 1, w.file_.get()) != 1 ||
-      std::fflush(w.file_.get()) != 0) {
-    throw SerializeError("journal: cannot write preamble to " + path);
-  }
-  return w;
+  const LogBody body{header.shard_id.hi,    header.shard_id.lo,
+                     header.fingerprint.hi, header.fingerprint.lo,
+                     header.begin,          header.end};
+  return JournalWriter(RecordLog::create(path, kJournalLog, body), header,
+                       header.begin, 0);
 }
 
 JournalWriter JournalWriter::resume(const std::string& path,
@@ -148,29 +82,11 @@ JournalWriter JournalWriter::resume(const std::string& path,
   if (state.complete) {
     throw SerializeError("journal: resume on a sealed journal");
   }
-  if (!(state.header.shard_id == header.shard_id) ||
-      !(state.header.fingerprint == header.fingerprint) ||
-      state.header.begin != header.begin ||
-      state.header.end != header.end) {
+  if (state.header != header) {
     throw SerializeError("journal: resume header mismatch");
   }
-  // Drop the torn tail so the file never holds bytes the scan rejected,
-  // then append after the valid prefix.
-  std::error_code ec;
-  std::filesystem::resize_file(path, state.valid_bytes, ec);
-  if (ec) {
-    throw SerializeError("journal: cannot truncate " + path);
-  }
-  JournalWriter w;
-  w.path_ = path;
-  w.header_ = header;
-  w.next_ = state.next_index;
-  w.sum_ = state.sum;
-  w.file_.reset(std::fopen(path.c_str(), "ab"));
-  if (w.file_ == nullptr) {
-    throw SerializeError("journal: cannot reopen " + path);
-  }
-  return w;
+  return JournalWriter(RecordLog::resume(path, kJournalLog, state.valid_bytes),
+                       header, state.next_index, state.sum);
 }
 
 void JournalWriter::record(std::uint64_t index, std::uint64_t value) {
@@ -180,28 +96,8 @@ void JournalWriter::record(std::uint64_t index, std::uint64_t value) {
   if (index != next_ || index >= header_.end) {
     throw SerializeError("journal: out-of-order record");
   }
-  Record r;
-  r.type = kTypeResult;
-  r.index = index;
-  r.value = value;
-  r.checksum = record_checksum(r);
-  switch (util::failpoint("journal.append")) {
-    case util::FaultAction::kCrash:
-      // The torn-tail fault: die with a PARTIAL record on disk — exactly
-      // what a SIGKILL between fwrite and fflush can leave. The recovery
-      // scan must drop it and a resume recompute only this index on.
-      std::fwrite(&r, 1, 13, file_.get());
-      std::fflush(file_.get());
-      util::failpoint_crash("journal.append");
-    case util::FaultAction::kError:
-      throw SerializeError("journal: injected append fault " + path_);
-    case util::FaultAction::kNone:
-      break;
-  }
-  if (std::fwrite(&r, sizeof(r), 1, file_.get()) != 1 ||
-      std::fflush(file_.get()) != 0) {
-    throw SerializeError("journal: cannot append to " + path_);
-  }
+  // A crash here tears the record; a resume recomputes only this index on.
+  log_.append("journal.append", kTypeResult, index, value);
   sum_ += value;
   ++next_;
 }
@@ -216,25 +112,9 @@ void JournalWriter::finish(std::uint64_t total) {
   if (total != sum_) {
     throw SerializeError("journal: aggregate disagrees with records");
   }
-  Record r;
-  r.type = kTypeDone;
-  r.index = header_.end;
-  r.value = total;
-  r.checksum = record_checksum(r);
-  switch (util::failpoint("journal.seal")) {
-    case util::FaultAction::kCrash:
-      // Die with every record committed but no seal: a resume recomputes
-      // NOTHING (next_index == end) and only re-seals.
-      util::failpoint_crash("journal.seal");
-    case util::FaultAction::kError:
-      throw SerializeError("journal: injected seal fault " + path_);
-    case util::FaultAction::kNone:
-      break;
-  }
-  if (std::fwrite(&r, sizeof(r), 1, file_.get()) != 1 ||
-      std::fflush(file_.get()) != 0) {
-    throw SerializeError("journal: cannot seal " + path_);
-  }
+  // A crash here loses the seal with every record committed: a resume
+  // recomputes NOTHING (next_index == end) and only re-seals.
+  log_.append("journal.seal", kTypeDone, header_.end, total);
   finished_ = true;
 }
 

@@ -1,31 +1,29 @@
 // Crash-safe append-only shard journals.
 //
-// A shard runner streams one fixed-size record per completed enumeration
-// index — the incremental-delay discipline: bounded state per emitted
-// verdict summary, nothing buffered that a crash could lose beyond the
-// record being appended. The file layout is
+// A shard runner streams one record per completed enumeration index —
+// the incremental-delay discipline: bounded state per emitted verdict
+// summary, nothing buffered that a crash could lose beyond the record
+// being appended. A journal is a RecordLog (dist/record_log.hpp, which
+// owns the file format and the scan/truncate/append rules): its
+// preamble binds it to its shard (shard id, plan fingerprint, index
+// range), each RESULT record carries (index, value), and a final DONE
+// record seals the shard with its aggregate.
 //
-//     [ preamble | record | record | ... | DONE record ]
-//
-// where the preamble binds the journal to its shard (shard id, plan
-// fingerprint, index range) and every 32-byte record carries its own
-// checksum. Recovery is a single forward scan: the VALID PREFIX ends at
-// the first truncated, checksum-broken or out-of-order record — a
-// process killed mid-append loses at most the torn tail, and a rerun
-// resumes at the first uncommitted index without recomputing anything
-// before it (JournalWriter::resume truncates the torn tail first, so
-// the file never contains bytes the scan rejected). The DONE record
-// seals the shard with its aggregate; a sealed journal makes a second
-// `shard run` a detected no-op (double-completion), and only sealed
-// journals merge.
+// On top of the record log's valid prefix the journal adds its ordering
+// rule: RESULT indices run contiguously from `begin`, and a DONE record
+// counts only if every index of [begin, end) precedes it and its value
+// equals their sum. A rerun resumes at the first uncommitted index
+// without recomputing anything before it. A sealed journal makes a
+// second `shard run` a detected no-op (double-completion), and only
+// sealed journals merge.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
+#include "dist/record_log.hpp"
 #include "dist/shard_plan.hpp"
 
 namespace rvt::dist {
@@ -36,7 +34,11 @@ struct JournalHeader {
   ShardId fingerprint;      ///< plan fingerprint (workload + schema)
   std::uint64_t begin = 0;  ///< index range of the shard
   std::uint64_t end = 0;
+  friend bool operator==(const JournalHeader&, const JournalHeader&) = default;
 };
+
+/// The header a journal of `spec` under `plan` must carry.
+JournalHeader journal_header(const ShardPlan& plan, const ShardSpec& spec);
 
 /// Result of scanning a journal file.
 struct JournalState {
@@ -56,10 +58,17 @@ std::string journal_path(const std::string& dir, const ShardSpec& spec);
 /// scan stops at the first bad record and reports the valid prefix.
 std::optional<JournalState> read_journal(const std::string& path);
 
+/// read_journal(path) if the journal is usable and bound to `header`;
+/// nullopt for a missing, unusable or foreign journal — one a writer
+/// must recreate rather than extend.
+std::optional<JournalState> read_bound_journal(const std::string& path,
+                                               const JournalHeader& header);
+
 /// Appender. Records must be fed in index order (begin, begin+1, ...);
 /// the writer enforces it — the journal's recovery scan depends on
-/// contiguity. Flushes every record to the stream (the crash-safety
-/// unit is the 32-byte record; a torn tail is dropped by the scan).
+/// contiguity. Flushes every record (not fsynced: a lost tail costs
+/// recomputing its indices). Failpoint sites "journal.append" and
+/// "journal.seal".
 class JournalWriter {
  public:
   /// Creates/overwrites `path` with a fresh preamble.
@@ -73,9 +82,6 @@ class JournalWriter {
                               const JournalHeader& header,
                               const JournalState& state);
 
-  JournalWriter(JournalWriter&&) = default;
-  JournalWriter& operator=(JournalWriter&&) = default;
-
   /// Appends the record for `index` (must be the next uncommitted one).
   void record(std::uint64_t index, std::uint64_t value);
   /// Seals the journal: every index of [begin, end) must be committed,
@@ -87,18 +93,15 @@ class JournalWriter {
   std::uint64_t sum() const { return sum_; }
 
  private:
-  JournalWriter() = default;
+  JournalWriter(RecordLog log, const JournalHeader& header,
+                std::uint64_t next, std::uint64_t sum)
+      : log_(std::move(log)), header_(header), next_(next), sum_(sum) {}
 
-  std::string path_;
+  RecordLog log_;
   JournalHeader header_;
   std::uint64_t next_ = 0;
   std::uint64_t sum_ = 0;
   bool finished_ = false;
-  // FILE* under unique_ptr so the type stays movable.
-  struct FileCloser {
-    void operator()(std::FILE* f) const;
-  };
-  std::unique_ptr<std::FILE, FileCloser> file_;
 };
 
 }  // namespace rvt::dist

@@ -1,60 +1,11 @@
 #include "dist/ledger.hpp"
 
-#include <unistd.h>
-
-#include <cstring>
-#include <filesystem>
-
-#include "dist/serialize.hpp"
-#include "util/failpoint.hpp"
-
 namespace rvt::dist {
 
 namespace {
 
-constexpr std::uint32_t kLedgerRecordMagic = 0x4C545652;  // "RVTL"
-
-/// 64-byte preamble; raw-copied (padding-free, little-endian host
-/// asserted in serialize.cpp).
-struct Preamble {
-  std::uint32_t magic = kWireMagic;
-  std::uint16_t version = kWireVersion;
-  std::uint16_t kind = static_cast<std::uint16_t>(WireKind::kLedger);
-  std::uint64_t fp_hi = 0, fp_lo = 0;
-  std::uint64_t shard_count = 0;
-  std::uint64_t reserved0 = 0, reserved1 = 0, reserved2 = 0;
-  std::uint64_t checksum = 0;  ///< fnv1a64 over the preceding 56 bytes
-};
-static_assert(sizeof(Preamble) == 64);
-
-/// 32-byte record; checksum covers the preceding 24 bytes.
-struct Record {
-  std::uint32_t magic = kLedgerRecordMagic;
-  std::uint32_t event = 0;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  std::uint64_t checksum = 0;
-};
-static_assert(sizeof(Record) == 32);
-
-std::uint64_t preamble_checksum(const Preamble& p) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(&p),
-                  sizeof(Preamble) - sizeof(std::uint64_t)});
-}
-
-std::uint64_t record_checksum(const Record& r) {
-  return fnv1a64({reinterpret_cast<const std::uint8_t*>(&r),
-                  sizeof(Record) - sizeof(std::uint64_t)});
-}
-
-Preamble make_preamble(const LedgerHeader& h) {
-  Preamble p;
-  p.fp_hi = h.fingerprint.hi;
-  p.fp_lo = h.fingerprint.lo;
-  p.shard_count = h.shard_count;
-  p.checksum = preamble_checksum(p);
-  return p;
-}
+constexpr LogFormat kLedgerLog{"ledger", WireKind::kLedger,
+                               0x4C545652 /* "RVTL" */, /*durable=*/true};
 
 bool known_event(std::uint32_t e) {
   return e >= static_cast<std::uint32_t>(LedgerEvent::kEpoch) &&
@@ -63,122 +14,44 @@ bool known_event(std::uint32_t e) {
 
 }  // namespace
 
-void LedgerWriter::FileCloser::operator()(std::FILE* f) const {
-  if (f != nullptr) std::fclose(f);
-}
-
 std::string ledger_path(const std::string& dir) { return dir + "/run.ledger"; }
 
 std::optional<LedgerState> read_ledger(const std::string& path) {
-  const auto bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  if (bytes->size() < sizeof(Preamble)) {
-    throw SerializeError("ledger: file shorter than preamble");
-  }
-  Preamble p;
-  std::memcpy(&p, bytes->data(), sizeof(p));
-  if (p.magic != kWireMagic ||
-      p.kind != static_cast<std::uint16_t>(WireKind::kLedger)) {
-    throw SerializeError("ledger: bad preamble magic/kind");
-  }
-  if (p.version != kWireVersion) {
-    throw SerializeError("ledger: format version " +
-                         std::to_string(p.version) + " (this build speaks " +
-                         std::to_string(kWireVersion) + ")");
-  }
-  if (p.checksum != preamble_checksum(p)) {
-    throw SerializeError("ledger: corrupt preamble");
-  }
+  const std::optional<LogScan> scan = scan_log(path, kLedgerLog);
+  if (!scan.has_value()) return std::nullopt;
   LedgerState st;
-  st.header.fingerprint = {p.fp_hi, p.fp_lo};
-  st.header.shard_count = p.shard_count;
-  st.valid_bytes = sizeof(Preamble);
-  st.file_bytes = bytes->size();
-  // Forward scan: the valid prefix ends at the first torn or corrupt
-  // record — exactly the journal scan, minus the ordering constraint
-  // (a ledger is an event log, not an index stream).
-  std::size_t pos = sizeof(Preamble);
-  while (bytes->size() - pos >= sizeof(Record)) {
-    Record r;
-    std::memcpy(&r, bytes->data() + pos, sizeof(r));
-    if (r.magic != kLedgerRecordMagic || r.checksum != record_checksum(r) ||
-        !known_event(r.event)) {
-      break;
-    }
-    st.records.push_back(
-        {static_cast<LedgerEvent>(r.event), r.a, r.b});
-    pos += sizeof(Record);
-    st.valid_bytes = pos;
+  st.header.fingerprint = {scan->body[0], scan->body[1]};
+  st.header.shard_count = scan->body[2];
+  st.file_bytes = scan->file_bytes;
+  // No ordering rule — a ledger is an event log, not an index stream.
+  for (const LogRecord& r : scan->records) {
+    if (!known_event(r.type)) break;
+    st.records.push_back({static_cast<LedgerEvent>(r.type), r.a, r.b});
   }
+  st.valid_bytes = log_bytes(st.records.size());
   return st;
 }
 
 LedgerWriter LedgerWriter::create(const std::string& path,
                                   const LedgerHeader& header) {
-  LedgerWriter w;
-  w.path_ = path;
-  w.file_.reset(std::fopen(path.c_str(), "wb"));
-  if (w.file_ == nullptr) {
-    throw SerializeError("ledger: cannot create " + path);
-  }
-  const Preamble p = make_preamble(header);
-  if (std::fwrite(&p, sizeof(p), 1, w.file_.get()) != 1 ||
-      std::fflush(w.file_.get()) != 0 ||
-      ::fsync(fileno(w.file_.get())) != 0) {
-    throw SerializeError("ledger: cannot write preamble to " + path);
-  }
-  return w;
+  return LedgerWriter(RecordLog::create(
+      path, kLedgerLog,
+      {header.fingerprint.hi, header.fingerprint.lo, header.shard_count, 0, 0,
+       0}));
 }
 
 LedgerWriter LedgerWriter::resume(const std::string& path,
                                   const LedgerHeader& header,
                                   const LedgerState& state) {
-  if (!(state.header.fingerprint == header.fingerprint) ||
-      state.header.shard_count != header.shard_count) {
+  if (state.header != header) {
     throw SerializeError("ledger: resume header mismatch");
   }
-  // Drop the torn tail so the file never holds bytes the scan rejected.
-  std::error_code ec;
-  std::filesystem::resize_file(path, state.valid_bytes, ec);
-  if (ec) {
-    throw SerializeError("ledger: cannot truncate " + path);
-  }
-  LedgerWriter w;
-  w.path_ = path;
-  w.file_.reset(std::fopen(path.c_str(), "ab"));
-  if (w.file_ == nullptr) {
-    throw SerializeError("ledger: cannot reopen " + path);
-  }
-  return w;
+  return LedgerWriter(RecordLog::resume(path, kLedgerLog, state.valid_bytes));
 }
 
 void LedgerWriter::append(const LedgerRecord& rec) {
-  Record r;
-  r.event = static_cast<std::uint32_t>(rec.event);
-  r.a = rec.a;
-  r.b = rec.b;
-  r.checksum = record_checksum(r);
-  switch (util::failpoint("ledger.append")) {
-    case util::FaultAction::kCrash:
-      // Die with a PARTIAL record on disk — what a power loss between
-      // fwrite and fsync can leave. The write-ahead rule holds because
-      // the event this record announced was never acknowledged.
-      std::fwrite(&r, 1, 13, file_.get());
-      std::fflush(file_.get());
-      util::failpoint_crash("ledger.append");
-    case util::FaultAction::kError:
-      throw SerializeError("ledger: injected append fault " + path_);
-    case util::FaultAction::kNone:
-      break;
-  }
-  // fsync, not just fflush: a journal record that dies in page cache
-  // costs recomputing one index, a ledger record that dies there could
-  // un-grant a lease some worker already holds.
-  if (std::fwrite(&r, sizeof(r), 1, file_.get()) != 1 ||
-      std::fflush(file_.get()) != 0 ||
-      ::fsync(fileno(file_.get())) != 0) {
-    throw SerializeError("ledger: cannot append to " + path_);
-  }
+  log_.append("ledger.append", static_cast<std::uint32_t>(rec.event), rec.a,
+              rec.b);
 }
 
 }  // namespace rvt::dist

@@ -10,14 +10,12 @@
 // each has burned, and what token generation is stale, without guessing
 // from journal bytes alone.
 //
-// The file reuses the journal record discipline (dist/journal): a
-// 64-byte self-checksummed preamble binding the ledger to the plan
-// (fingerprint + shard count), then fixed-size 32-byte records, each
-// carrying its own checksum. Recovery is the same single forward scan —
-// the valid prefix ends at the first torn or corrupt record, and a
-// resume truncates the torn tail before appending (a SIGKILL between
-// fwrite and fsync loses at most the record being appended, which by
-// the write-ahead rule was never acknowledged to anyone).
+// The file is a RecordLog (dist/record_log.hpp, which owns the format
+// and the scan/truncate/append rules) whose preamble binds the ledger
+// to the plan (fingerprint + shard count) and which fsyncs every
+// record. A SIGKILL between fwrite and fsync loses at most the record
+// being appended, which by the write-ahead rule was never acknowledged
+// to anyone.
 //
 // Authority is split, never merged by guesswork:
 //  * journals are authoritative for committed DATA — the ledger's
@@ -30,12 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "dist/record_log.hpp"
 #include "dist/shard_plan.hpp"
 
 namespace rvt::dist {
@@ -44,6 +42,7 @@ namespace rvt::dist {
 struct LedgerHeader {
   ShardId fingerprint;            ///< plan fingerprint (workload + schema)
   std::uint64_t shard_count = 0;  ///< shards in the plan
+  friend bool operator==(const LedgerHeader&, const LedgerHeader&) = default;
 };
 
 /// One durable control-state transition. The two operands are
@@ -77,8 +76,7 @@ std::string ledger_path(const std::string& dir);
 /// Scans `path`. Returns nullopt if the file does not exist; throws
 /// SerializeError if the preamble is missing/corrupt (the ledger is
 /// unusable). Record-level damage is NOT an error: the scan stops at
-/// the first bad record and reports the valid prefix — the torn-tail
-/// contract of shard journals, unchanged.
+/// the first bad record or unknown event and reports the valid prefix.
 std::optional<LedgerState> read_ledger(const std::string& path);
 
 /// Appender. Unlike journals the ledger has no per-record ordering
@@ -97,22 +95,15 @@ class LedgerWriter {
                              const LedgerHeader& header,
                              const LedgerState& state);
 
-  LedgerWriter(LedgerWriter&&) = default;
-  LedgerWriter& operator=(LedgerWriter&&) = default;
-
   /// Appends one record, fsynced. Throws SerializeError on IO failure.
   /// Failpoint site "ledger.append": crash tears a partial record (the
   /// tail a resume must truncate), err throws.
   void append(const LedgerRecord& rec);
 
  private:
-  LedgerWriter() = default;
+  explicit LedgerWriter(RecordLog log) : log_(std::move(log)) {}
 
-  std::string path_;
-  struct FileCloser {
-    void operator()(std::FILE* f) const;
-  };
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  RecordLog log_;
 };
 
 }  // namespace rvt::dist

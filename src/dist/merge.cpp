@@ -87,31 +87,27 @@ MergeResult merge_journals(const ShardPlan& plan,
   out.indices = plan.count;
   for (const ShardSpec& spec : plan.shards) {
     const std::string path = journal_path(journal_dir, spec);
-    std::optional<JournalState> state;
-    try {
-      state = read_journal(path);
-    } catch (const SerializeError&) {
-      // An unusable preamble is terminal for a healthy shard; for a
-      // quarantined one it is just another face of "missing".
-      if (!quarantined(spec)) throw;
-      state.reset();
-    }
-    const bool sealed = state.has_value() && state->complete &&
-                        state->header.shard_id == spec.id &&
-                        state->header.fingerprint == plan.fingerprint &&
-                        state->header.begin == spec.begin &&
-                        state->header.end == spec.end;
-    if (!sealed && quarantined(spec)) {
+    const std::optional<JournalState> state =
+        [&]() -> std::optional<JournalState> {
+      try {
+        return read_journal(path);
+      } catch (const SerializeError&) {
+        // An unusable preamble is terminal for a healthy shard; for a
+        // quarantined one it is just another face of "missing".
+        if (!quarantined(spec)) throw;
+        return std::nullopt;
+      }
+    }();
+    const bool bound =
+        state.has_value() && state->header == journal_header(plan, spec);
+    if (!(bound && state->complete) && quarantined(spec)) {
       out.missing.emplace_back(spec.begin, spec.end);
       continue;
     }
     if (!state.has_value()) {
       throw SerializeError("merge: missing journal " + path);
     }
-    if (!(state->header.shard_id == spec.id) ||
-        !(state->header.fingerprint == plan.fingerprint) ||
-        state->header.begin != spec.begin ||
-        state->header.end != spec.end) {
+    if (!bound) {
       throw SerializeError("merge: journal " + path +
                            " is bound to a different shard or plan");
     }

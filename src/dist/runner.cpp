@@ -39,28 +39,11 @@ std::optional<JournalWriter> open_journal(const std::string& journal_dir,
                          journal_dir + ": " + ec.message());
   }
   const std::string path = journal_path(journal_dir, spec);
-  JournalHeader header;
-  header.shard_id = spec.id;
-  header.fingerprint = plan.fingerprint;
-  header.begin = spec.begin;
-  header.end = spec.end;
-
-  std::optional<JournalState> state;
-  try {
-    state = read_journal(path);
-  } catch (const SerializeError&) {
-    state.reset();  // unusable preamble: recreate from scratch
-  }
-  if (state.has_value() &&
-      (!(state->header.shard_id == header.shard_id) ||
-       !(state->header.fingerprint == header.fingerprint) ||
-       state->header.begin != header.begin ||
-       state->header.end != header.end)) {
-    // A journal for a DIFFERENT shard under this shard's filename: the
-    // content addressing makes that a deliberate overwrite or a foreign
-    // artifact — start over rather than splice foreign records.
-    state.reset();
-  }
+  const JournalHeader header = journal_header(plan, spec);
+  // An unusable journal, or one for a DIFFERENT shard under this shard's
+  // filename (the content addressing makes that a deliberate overwrite
+  // or a foreign artifact), is started over rather than spliced into.
+  const std::optional<JournalState> state = read_bound_journal(path, header);
   if (state.has_value() && state->complete) {
     stats.already_complete = true;
     stats.committed_before = spec.end - spec.begin;

@@ -77,7 +77,9 @@ void WireReader::raw(void* p, std::size_t n) {
   if (n > b_.size() - pos_) {
     throw SerializeError("wire: read past end of payload");
   }
-  std::memcpy(p, b_.data() + pos_, n);
+  // An empty destination vector passes p == nullptr, which memcpy's
+  // contract forbids even for n == 0.
+  if (n != 0) std::memcpy(p, b_.data() + pos_, n);
   pos_ += n;
 }
 

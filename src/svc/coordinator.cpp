@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <unordered_map>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/protocol.hpp"
+#include "util/bench_report.hpp"
 
 namespace rvt::svc {
 
@@ -20,29 +22,81 @@ double seconds_since(std::chrono::steady_clock::time_point t,
   return std::chrono::duration<double>(now - t).count();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+std::string fixed6(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+/// One scalar of a ServiceReport as both renderings show it. Integers
+/// render as integers in JSON; a Prometheus gauge renders its value as a
+/// real, a counter as an integer.
+struct ReportRow {
+  enum Type : std::uint8_t { kCounter, kGauge };
+  const char* json;
+  std::variant<std::uint64_t, double> value;
+  const char* prom = nullptr;  ///< nullptr for a JSON-only row
+  Type type = kGauge;
+  /// Prometheus leads with the run's identity (uptime, campaign id).
+  bool prom_first = false;
+};
+
+/// The scalars of `r`, in JSON order.
+std::vector<ReportRow> report_rows(const ServiceReport& r) {
+  constexpr auto C = ReportRow::kCounter, G = ReportRow::kGauge;
+  const double first_survivor_ms =
+      r.delay.time_to_first_survivor_ns < 0
+          ? -1.0
+          : static_cast<double>(r.delay.time_to_first_survivor_ns) / 1e6;
+  return {
+      {"shards_total", r.shards_total, "rvt_shards_total", G},
+      {"shards_completed", r.shards_completed, "rvt_shards_completed", G},
+      {"shards_leased", r.shards_leased, "rvt_shards_leased", G},
+      {"shards_pending", r.shards_pending, "rvt_shards_pending", G},
+      {"shards_requeued", r.shards_requeued, "rvt_shards_requeued", C},
+      {"shards_quarantined", r.shards_quarantined, "rvt_shards_quarantined", C},
+      {"leases_granted", r.leases_granted, "rvt_leases_granted", C},
+      {"lease_expiries", r.lease_expiries, "rvt_lease_expiries", C},
+      {"runners_seen", r.runners_seen, "rvt_runners_seen", C},
+      {"total_indices", r.total_indices},
+      {"committed_indices", r.committed_indices, "rvt_committed_indices", C},
+      {"committed_defeats", r.committed_defeats, "rvt_committed_defeats", C},
+      {"journal_bytes_streamed", r.journal_bytes_streamed,
+       "rvt_journal_bytes_streamed", C},
+      {"cache_tier_gets", r.tier_gets},
+      {"cache_tier_hits", r.tier_hits},
+      {"cache_tier_stores", r.tier_stores},
+      {"cache_tier_retries", r.tier_faults.retries},
+      {"cache_tier_exhausted", r.tier_faults.exhausted},
+      {"cache_tier_quarantined", r.tier_faults.quarantined},
+      {"cache_tier_degraded", std::uint64_t{r.tier_faults.degraded}},
+      {"recovery_resumed", r.resumed, "rvt_recovery_resumes", C},
+      {"recovery_ledger_epoch", r.ledger_epoch},
+      {"recovery_ledger_records_replayed", r.ledger_records_replayed,
+       "rvt_recovery_ledger_records_replayed", C},
+      {"recovery_ledger_records_appended", r.ledger_records_appended},
+      {"recovery_ledger_torn_bytes_truncated", r.ledger_torn_bytes_truncated},
+      {"recovery_leases_regranted", r.leases_regranted,
+       "rvt_recovery_leases_regranted", C},
+      {"recovery_stale_tokens_fenced", r.stale_tokens_fenced,
+       "rvt_recovery_stale_tokens_fenced", C},
+      {"recovery_worker_reconnects", r.worker_reconnects,
+       "rvt_recovery_worker_reconnects", C},
+      {"uptime_seconds", r.uptime_seconds},
+      {"shards_per_second", r.shards_per_second},
+      {"time_to_first_record_seconds", r.time_to_first_record_seconds},
+      {"time_to_first_sealed_shard_seconds",
+       r.time_to_first_sealed_shard_seconds},
+      {"uptime_ms", r.uptime_ms, "rvt_uptime_ms", G, true},
+      {"campaign_id", r.campaign_id, "rvt_campaign_id", C, true},
+      {"survivors", r.delay.survivors, "rvt_survivors", C},
+      {"survivors_per_second", r.delay.survivors_per_second(),
+       "rvt_survivors_per_second", G},
+      {"time_to_first_survivor_ms", first_survivor_ms,
+       "rvt_time_to_first_survivor_ms", G},
+      {"inter_result_delay_p50_ms", r.delay.delay_quantile_ms(0.50)},
+      {"inter_result_delay_p99_ms", r.delay.delay_quantile_ms(0.99)},
+  };
 }
 
 }  // namespace
@@ -50,60 +104,14 @@ std::string json_escape(const std::string& s) {
 std::string service_json(const ServiceReport& r,
                          const std::string& workload_spec) {
   std::string j = "{\n";
-  const auto u64 = [&](const char* key, std::uint64_t v, bool comma = true) {
-    j += std::string("  \"") + key + "\": " + std::to_string(v) +
-         (comma ? ",\n" : "\n");
-  };
-  const auto dbl = [&](const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    j += std::string("  \"") + key + "\": " + buf + ",\n";
-  };
   j += "  \"kind\": \"service_metrics\",\n";
-  j += "  \"workload\": \"" + json_escape(workload_spec) + "\",\n";
-  u64("shards_total", r.shards_total);
-  u64("shards_completed", r.shards_completed);
-  u64("shards_leased", r.shards_leased);
-  u64("shards_pending", r.shards_pending);
-  u64("shards_requeued", r.shards_requeued);
-  u64("shards_quarantined", r.shards_quarantined);
-  u64("leases_granted", r.leases_granted);
-  u64("lease_expiries", r.lease_expiries);
-  u64("runners_seen", r.runners_seen);
-  u64("total_indices", r.total_indices);
-  u64("committed_indices", r.committed_indices);
-  u64("committed_defeats", r.committed_defeats);
-  u64("journal_bytes_streamed", r.journal_bytes_streamed);
-  u64("cache_tier_gets", r.tier_gets);
-  u64("cache_tier_hits", r.tier_hits);
-  u64("cache_tier_stores", r.tier_stores);
-  u64("cache_tier_retries", r.tier_faults.retries);
-  u64("cache_tier_exhausted", r.tier_faults.exhausted);
-  u64("cache_tier_quarantined", r.tier_faults.quarantined);
-  u64("cache_tier_degraded", r.tier_faults.degraded ? 1 : 0);
-  u64("recovery_resumed", r.resumed);
-  u64("recovery_ledger_epoch", r.ledger_epoch);
-  u64("recovery_ledger_records_replayed", r.ledger_records_replayed);
-  u64("recovery_ledger_records_appended", r.ledger_records_appended);
-  u64("recovery_ledger_torn_bytes_truncated", r.ledger_torn_bytes_truncated);
-  u64("recovery_leases_regranted", r.leases_regranted);
-  u64("recovery_stale_tokens_fenced", r.stale_tokens_fenced);
-  u64("recovery_worker_reconnects", r.worker_reconnects);
-  dbl("uptime_seconds", r.uptime_seconds);
-  dbl("shards_per_second", r.shards_per_second);
-  dbl("time_to_first_record_seconds", r.time_to_first_record_seconds);
-  dbl("time_to_first_sealed_shard_seconds",
-      r.time_to_first_sealed_shard_seconds);
-  u64("uptime_ms", r.uptime_ms);
-  u64("campaign_id", r.campaign_id);
-  u64("survivors", r.delay.survivors);
-  dbl("survivors_per_second", r.delay.survivors_per_second());
-  dbl("time_to_first_survivor_ms",
-      r.delay.time_to_first_survivor_ns < 0
-          ? -1.0
-          : static_cast<double>(r.delay.time_to_first_survivor_ns) / 1e6);
-  dbl("inter_result_delay_p50_ms", r.delay.delay_quantile_ms(0.50));
-  dbl("inter_result_delay_p99_ms", r.delay.delay_quantile_ms(0.99));
+  j += "  \"workload\": \"" + util::json_escape(workload_spec) + "\",\n";
+  for (const ReportRow& row : report_rows(r)) {
+    const auto* u = std::get_if<std::uint64_t>(&row.value);
+    j += std::string("  \"") + row.json + "\": " +
+         (u ? std::to_string(*u) : fixed6(std::get<double>(row.value))) +
+         ",\n";
+  }
   j += "  \"last_journal_growth_ms\": [";
   for (std::size_t i = 0; i < r.last_journal_growth_ms.size(); ++i) {
     j += std::string(i == 0 ? "" : ", ") +
@@ -116,7 +124,8 @@ std::string service_json(const ServiceReport& r,
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", h.last_heartbeat_age_seconds);
     j += std::string(i == 0 ? "\n" : ",\n") + "    {\"name\": \"" +
-         json_escape(h.name) + "\", \"role\": \"" + json_escape(h.role) +
+         util::json_escape(h.name) + "\", \"role\": \"" +
+         util::json_escape(h.role) +
          "\", \"connected\": " + (h.connected ? "true" : "false") +
          ", \"last_heartbeat_age_seconds\": " + buf +
          ", \"shards_sealed\": " + std::to_string(h.shards_sealed) +
@@ -130,41 +139,21 @@ std::string service_json(const ServiceReport& r,
 
 std::string service_prometheus(const ServiceReport& r) {
   std::string t;
-  const auto counter = [&](const char* name, std::uint64_t v) {
-    t += std::string("# TYPE ") + name + " counter\n";
-    t += std::string(name) + " " + std::to_string(v) + "\n";
-  };
-  const auto gauge = [&](const char* name, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    t += std::string("# TYPE ") + name + " gauge\n";
-    t += std::string(name) + " " + buf + "\n";
-  };
-  gauge("rvt_uptime_ms", static_cast<double>(r.uptime_ms));
-  counter("rvt_campaign_id", r.campaign_id);
-  gauge("rvt_shards_total", static_cast<double>(r.shards_total));
-  gauge("rvt_shards_completed", static_cast<double>(r.shards_completed));
-  gauge("rvt_shards_leased", static_cast<double>(r.shards_leased));
-  gauge("rvt_shards_pending", static_cast<double>(r.shards_pending));
-  counter("rvt_shards_requeued", r.shards_requeued);
-  counter("rvt_shards_quarantined", r.shards_quarantined);
-  counter("rvt_leases_granted", r.leases_granted);
-  counter("rvt_lease_expiries", r.lease_expiries);
-  counter("rvt_runners_seen", r.runners_seen);
-  counter("rvt_committed_indices", r.committed_indices);
-  counter("rvt_committed_defeats", r.committed_defeats);
-  counter("rvt_journal_bytes_streamed", r.journal_bytes_streamed);
-  counter("rvt_recovery_resumes", r.resumed);
-  counter("rvt_recovery_ledger_records_replayed", r.ledger_records_replayed);
-  counter("rvt_recovery_leases_regranted", r.leases_regranted);
-  counter("rvt_recovery_stale_tokens_fenced", r.stale_tokens_fenced);
-  counter("rvt_recovery_worker_reconnects", r.worker_reconnects);
-  counter("rvt_survivors", r.delay.survivors);
-  gauge("rvt_survivors_per_second", r.delay.survivors_per_second());
-  gauge("rvt_time_to_first_survivor_ms",
-        r.delay.time_to_first_survivor_ns < 0
-            ? -1.0
-            : static_cast<double>(r.delay.time_to_first_survivor_ns) / 1e6);
+  const std::vector<ReportRow> rows = report_rows(r);
+  for (const bool first : {true, false}) {
+    for (const ReportRow& row : rows) {
+      if (row.prom == nullptr || row.prom_first != first) continue;
+      const auto* u = std::get_if<std::uint64_t>(&row.value);
+      const bool counter = row.type == ReportRow::kCounter;
+      t += std::string("# TYPE ") + row.prom +
+           (counter ? " counter\n" : " gauge\n");
+      t += std::string(row.prom) + " " +
+           (counter ? std::to_string(std::get<std::uint64_t>(row.value))
+                    : fixed6(u ? static_cast<double>(*u)
+                               : std::get<double>(row.value))) +
+           "\n";
+    }
+  }
   t += obs::prometheus_histogram("rvt_inter_result_delay_ns",
                                  r.delay.inter_result_delay_ns);
   t += "# TYPE rvt_shard_last_journal_growth_ms gauge\n";
@@ -191,18 +180,11 @@ Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
   // path and the ledger replay cross-check read from.
   std::vector<std::optional<dist::JournalState>> journals(plan_.shards.size());
   for (std::size_t i = 0; i < plan_.shards.size(); ++i) {
+    // An unusable or foreign journal is recreated on first grant.
     const dist::ShardSpec& spec = plan_.shards[i];
-    std::optional<dist::JournalState> js;
-    try {
-      js = dist::read_journal(dist::journal_path(cfg_.journal_dir, spec));
-    } catch (const dist::SerializeError&) {
-      js.reset();  // unusable preamble — recreated on first grant
-    }
-    const bool bound = js && js->header.shard_id == spec.id &&
-                       js->header.fingerprint == plan_.fingerprint &&
-                       js->header.begin == spec.begin &&
-                       js->header.end == spec.end;
-    if (bound) journals[i] = std::move(js);
+    journals[i] =
+        dist::read_bound_journal(dist::journal_path(cfg_.journal_dir, spec),
+                                 dist::journal_header(plan_, spec));
   }
   // The CONTROL authority: with --resume the run ledger is required and
   // replayed; a fresh campaign truncates whatever ledger a previous
@@ -216,8 +198,7 @@ Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
       throw dist::SerializeError(
           "coordinator: --resume needs a run ledger (none at " + lpath + ")");
     }
-    if (!(ls->header.fingerprint == plan_.fingerprint) ||
-        ls->header.shard_count != plan_.shards.size()) {
+    if (ls->header != lhdr) {
       throw dist::SerializeError(
           "coordinator: run ledger belongs to a different campaign "
           "(fingerprint/shard-count mismatch)");
@@ -500,19 +481,10 @@ std::vector<std::uint8_t> Coordinator::grant_lease_locked(
   const dist::ShardSpec& spec = plan_.shards[i];
   if (!s.writer) {
     const std::string path = dist::journal_path(cfg_.journal_dir, spec);
-    const dist::JournalHeader hdr{spec.id, plan_.fingerprint, spec.begin,
-                                  spec.end};
-    std::optional<dist::JournalState> js;
-    try {
-      js = dist::read_journal(path);
-    } catch (const dist::SerializeError&) {
-      js.reset();
-    }
-    const bool bound = js && !js->complete &&
-                       js->header.shard_id == hdr.shard_id &&
-                       js->header.fingerprint == hdr.fingerprint &&
-                       js->header.begin == hdr.begin &&
-                       js->header.end == hdr.end;
+    const dist::JournalHeader hdr = dist::journal_header(plan_, spec);
+    const std::optional<dist::JournalState> js =
+        dist::read_bound_journal(path, hdr);
+    const bool bound = js && !js->complete;
     try {
       s.writer = bound ? dist::JournalWriter::resume(path, hdr, *js)
                        : dist::JournalWriter::create(path, hdr);
@@ -1118,15 +1090,12 @@ std::vector<Coordinator::ShardSnapshot> Coordinator::shard_snapshots() const {
       // No live writer: the committed prefix is whatever the journal
       // holds (a resumed-but-not-yet-regranted shard, or none at all).
       snap.next_index = spec.begin;
-      try {
-        const auto js =
-            dist::read_journal(dist::journal_path(cfg_.journal_dir, spec));
-        if (js && js->header.shard_id == spec.id &&
-            js->header.fingerprint == plan_.fingerprint) {
-          snap.next_index = js->next_index;
-          snap.sum = js->sum;
-        }
-      } catch (const dist::SerializeError&) {
+      const auto js =
+          dist::read_bound_journal(dist::journal_path(cfg_.journal_dir, spec),
+                                   dist::journal_header(plan_, spec));
+      if (js) {
+        snap.next_index = js->next_index;
+        snap.sum = js->sum;
       }
     }
     out.push_back(snap);

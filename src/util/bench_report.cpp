@@ -8,34 +8,29 @@
 
 namespace rvt::util {
 
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
   for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
     }
   }
-  out += '"';
   return out;
 }
+
+namespace {
+
+std::string quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
 
 std::string format_number(double v) {
   char buf[64];

@@ -209,4 +209,9 @@ struct EngineComparison {
 /// every bench computes them identically).
 void add_engine_comparison(BenchReport& report, const EngineComparison& c);
 
+/// `s` escaped for the inside of a JSON string literal: quote and
+/// backslash get a backslash, newline is `\n`, other control characters
+/// are `\u00XX`. Every JSON this library writes escapes through here.
+std::string json_escape(const std::string& s);
+
 }  // namespace rvt::util

@@ -32,18 +32,21 @@
 // "fs_store.load" is a transient IO failure (retried), at
 // "fs_store.load.decode" a corrupt file (quarantined), at
 // "journal.append" an append failure (SerializeError). A `crash` is
-// always an immediate _exit — except sites that deliberately tear state
-// first (journal.append writes a partial record before dying, the torn
-// tail the recovery scan must drop).
+// always an immediate _exit — except the record-log append sites, which
+// write a partial record before dying: the torn tail the recovery scan
+// must drop.
 //
 // Registered sites:
 //   fs_store.load          FsOrbitStore::load       err = read failure
 //   fs_store.load.decode   FsOrbitStore::load       err = decode failure
 //   fs_store.store         FsOrbitStore::store      err = publish failure
-//   journal.append         JournalWriter::record    crash tears a record
-//   journal.seal           JournalWriter::finish    crash loses the seal
+//   journal.append         RecordLog::append        crash tears a record
+//                          (from JournalWriter::record)
+//   journal.seal           RecordLog::append        crash tears the seal
+//                          (from JournalWriter::finish)
 //   wire.unframe           unframe_payload          err = frame decode
-//   ledger.append          LedgerWriter::append     crash tears a record
+//   ledger.append          RecordLog::append        crash tears a record
+//                          (from LedgerWriter::append)
 //   worker.index           run_worker compute loop  crash-at-index hook
 #pragma once
 

@@ -400,5 +400,10 @@ TEST(BenchReport, AddingComparisonTwiceIsCaughtAsDuplicate) {
   EXPECT_THROW(report.validate(), std::runtime_error);
 }
 
+TEST(BenchReport, JsonEscapeUsesShortFormsForQuoteBackslashAndNewline) {
+  EXPECT_EQ(json_escape("a\"b\\c\nd\te\x01\xc3\xa9"),
+            "a\\\"b\\\\c\\nd\\u0009e\\u0001\xc3\xa9");
+}
+
 }  // namespace
 }  // namespace rvt::util

@@ -19,6 +19,7 @@
 #include "dist/workload.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "tree/builders.hpp"
@@ -834,6 +835,137 @@ TEST_F(ServiceTest, NetOrbitStoreDegradesToComputeThroughWhenUnreachable) {
   EXPECT_EQ(store.load(sim::OrbitKey{1, 2}), nullptr);
   const sim::OrbitTierFaultStats fs = store.fault_stats();
   EXPECT_TRUE(fs.degraded);
+}
+
+// The metrics endpoint's two renderings of one fixed report, frozen as
+// text: CI greps Prometheus names and the E15/E16 benches read JSON keys.
+TEST(ServiceReportRendering, JsonAndPrometheusTextIsFrozen) {
+  svc::ServiceReport r{
+      .shards_total = 8, .shards_completed = 5, .shards_leased = 2,
+      .shards_pending = 1, .shards_requeued = 3, .leases_granted = 11,
+      .lease_expiries = 1, .runners_seen = 2, .total_indices = 1214,
+      .committed_indices = 900, .committed_defeats = 5426593,
+      .journal_bytes_streamed = 28800, .tier_gets = 40, .tier_hits = 30,
+      .tier_stores = 10, .tier_faults = {2, 1, 1, true},
+      .uptime_seconds = 1.25, .shards_per_second = 4.0,
+      .time_to_first_record_seconds = 0.0125, .resumed = 1,
+      .ledger_epoch = 2, .ledger_records_replayed = 17,
+      .ledger_records_appended = 9, .ledger_torn_bytes_truncated = 13,
+      .leases_regranted = 2, .stale_tokens_fenced = 1,
+      .worker_reconnects = 3, .uptime_ms = 1250,
+      .campaign_id = 0x9abcdef012345678ULL,
+      .last_journal_growth_ms = {-1, 12, 340},
+      .runners = {{"w1", "worker", 0.5, 3, 700, true},
+                  {"w\"2\\", "worker", 12.0, 0, 200, false}}};
+  r.delay.time_to_first_survivor_ns = 2500000;
+  r.delay.survivors = 850;
+  r.delay.elapsed_ns = 1000000000;
+  for (const std::uint64_t ns : {1000, 50000, 2000000}) {
+    r.delay.inter_result_delay_ns.record(ns);
+  }
+  EXPECT_EQ(svc::service_json(r, "e10:14"), R"({
+  "kind": "service_metrics",
+  "workload": "e10:14",
+  "shards_total": 8,
+  "shards_completed": 5,
+  "shards_leased": 2,
+  "shards_pending": 1,
+  "shards_requeued": 3,
+  "shards_quarantined": 0,
+  "leases_granted": 11,
+  "lease_expiries": 1,
+  "runners_seen": 2,
+  "total_indices": 1214,
+  "committed_indices": 900,
+  "committed_defeats": 5426593,
+  "journal_bytes_streamed": 28800,
+  "cache_tier_gets": 40,
+  "cache_tier_hits": 30,
+  "cache_tier_stores": 10,
+  "cache_tier_retries": 2,
+  "cache_tier_exhausted": 1,
+  "cache_tier_quarantined": 1,
+  "cache_tier_degraded": 1,
+  "recovery_resumed": 1,
+  "recovery_ledger_epoch": 2,
+  "recovery_ledger_records_replayed": 17,
+  "recovery_ledger_records_appended": 9,
+  "recovery_ledger_torn_bytes_truncated": 13,
+  "recovery_leases_regranted": 2,
+  "recovery_stale_tokens_fenced": 1,
+  "recovery_worker_reconnects": 3,
+  "uptime_seconds": 1.250000,
+  "shards_per_second": 4.000000,
+  "time_to_first_record_seconds": 0.012500,
+  "time_to_first_sealed_shard_seconds": -1.000000,
+  "uptime_ms": 1250,
+  "campaign_id": 11150031900141442680,
+  "survivors": 850,
+  "survivors_per_second": 850.000000,
+  "time_to_first_survivor_ms": 2.500000,
+  "inter_result_delay_p50_ms": 0.065535,
+  "inter_result_delay_p99_ms": 2.097151,
+  "last_journal_growth_ms": [-1, 12, 340],
+  "runners": [
+    {"name": "w1", "role": "worker", "connected": true, "last_heartbeat_age_seconds": 0.500, "shards_sealed": 3, "records_streamed": 700},
+    {"name": "w\"2\\", "role": "worker", "connected": false, "last_heartbeat_age_seconds": 12.000, "shards_sealed": 0, "records_streamed": 200}
+  ]
+}
+)");
+  // The delay histogram is rendered by obs::prometheus_histogram.
+  EXPECT_EQ(svc::service_prometheus(r),
+            R"(# TYPE rvt_uptime_ms gauge
+rvt_uptime_ms 1250.000000
+# TYPE rvt_campaign_id counter
+rvt_campaign_id 11150031900141442680
+# TYPE rvt_shards_total gauge
+rvt_shards_total 8.000000
+# TYPE rvt_shards_completed gauge
+rvt_shards_completed 5.000000
+# TYPE rvt_shards_leased gauge
+rvt_shards_leased 2.000000
+# TYPE rvt_shards_pending gauge
+rvt_shards_pending 1.000000
+# TYPE rvt_shards_requeued counter
+rvt_shards_requeued 3
+# TYPE rvt_shards_quarantined counter
+rvt_shards_quarantined 0
+# TYPE rvt_leases_granted counter
+rvt_leases_granted 11
+# TYPE rvt_lease_expiries counter
+rvt_lease_expiries 1
+# TYPE rvt_runners_seen counter
+rvt_runners_seen 2
+# TYPE rvt_committed_indices counter
+rvt_committed_indices 900
+# TYPE rvt_committed_defeats counter
+rvt_committed_defeats 5426593
+# TYPE rvt_journal_bytes_streamed counter
+rvt_journal_bytes_streamed 28800
+# TYPE rvt_recovery_resumes counter
+rvt_recovery_resumes 1
+# TYPE rvt_recovery_ledger_records_replayed counter
+rvt_recovery_ledger_records_replayed 17
+# TYPE rvt_recovery_leases_regranted counter
+rvt_recovery_leases_regranted 2
+# TYPE rvt_recovery_stale_tokens_fenced counter
+rvt_recovery_stale_tokens_fenced 1
+# TYPE rvt_recovery_worker_reconnects counter
+rvt_recovery_worker_reconnects 3
+# TYPE rvt_survivors counter
+rvt_survivors 850
+# TYPE rvt_survivors_per_second gauge
+rvt_survivors_per_second 850.000000
+# TYPE rvt_time_to_first_survivor_ms gauge
+rvt_time_to_first_survivor_ms 2.500000
+)" +
+                obs::prometheus_histogram("rvt_inter_result_delay_ns",
+                                          r.delay.inter_result_delay_ns) +
+                R"(# TYPE rvt_shard_last_journal_growth_ms gauge
+rvt_shard_last_journal_growth_ms{shard="0"} -1
+rvt_shard_last_journal_growth_ms{shard="1"} 12
+rvt_shard_last_journal_growth_ms{shard="2"} 340
+)");
 }
 
 }  // namespace
